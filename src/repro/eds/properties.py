@@ -18,6 +18,7 @@ except ImportError:  # pragma: no cover
 
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node, PortEdge
+from repro.runtime.outputs import PortMaskEdgeSet
 
 __all__ = [
     "dominates",
@@ -52,6 +53,21 @@ def undominated_edges(
 ) -> frozenset[PortEdge]:
     """All graph edges *not* dominated by *dominating*."""
     return frozenset(graph.edges) - dominated_edges(graph, dominating)
+
+
+def _is_eds_mask(graph: PortNumberedGraph, dominating: PortMaskEdgeSet):
+    """Feasibility of a vector-engine port mask on its own graph, or ``None``.
+
+    The selected ports' owners are exactly the covered nodes (the view
+    is consistent, so both ends of a selected edge are selected); every
+    port then needs a covered owner or a covered peer.
+    """
+    if dominating.cg is not getattr(graph, "_compiled", None):
+        return None
+    vg = dominating.cg.vector()
+    covered = _np.zeros(vg.num_nodes, dtype=bool)
+    covered[vg.port_node[dominating.mask]] = True
+    return bool((covered[vg.port_node] | covered[vg.peer_node]).all())
 
 
 def _is_eds_arrays(graph: PortNumberedGraph, dominating: Iterable[PortEdge]):
@@ -89,6 +105,10 @@ def is_edge_dominating_set(
     graph: PortNumberedGraph, dominating: Iterable[PortEdge]
 ) -> bool:
     """True when every edge of *graph* is dominated (paper §1.1)."""
+    if isinstance(dominating, PortMaskEdgeSet):
+        fast = _is_eds_mask(graph, dominating)
+        if fast is not None:
+            return fast
     fast = _is_eds_arrays(graph, dominating)
     if fast is not None:
         return fast

@@ -45,7 +45,7 @@ from repro.lowerbounds.adversary import run_adversary
 from repro.lowerbounds.instance import LowerBoundInstance
 from repro.obs.spans import current_recorder, span
 from repro.portgraph.graph import PortNumberedGraph
-from repro.registry.algorithms import BoundAlgorithm, resolve
+from repro.registry.algorithms import BoundAlgorithm, decoded, resolve
 from repro.registry.measures import AlgorithmRun, Measure, register_measure
 
 __all__ = [
@@ -85,9 +85,11 @@ def default_execute(measure: Measure, spec: JobSpec, key: str) -> ResultRecord:
 
     Each stage runs under a telemetry span (no-ops when telemetry is
     off): ``graph_build``, ``resolve``, ``simulate`` (the runtime
-    annotates it with the engine name and round count), ``feasibility``
-    and ``measure:<name>`` — with the optimum computation nested inside
-    the measure span as its own ``optimum`` child.
+    annotates it with the engine name and round count; decoding the
+    outputs into the edge set is its ``simulate:decode`` child),
+    ``feasibility`` and ``measure:<name>`` — with the optimum
+    computation nested inside the measure span as its own ``optimum``
+    child.
     """
     # ``graph_build`` keeps only coordination self-time: the generator
     # runs under the ``graph_build:generate`` child, and the lowering
@@ -124,9 +126,8 @@ def default_execute(measure: Measure, spec: JobSpec, key: str) -> ResultRecord:
             if sim is not None:
                 sim.attrs["traced"] = True
             result = algorithm.traced(graph)
-            edge_set, rounds, trace = (
-                result.edge_set(), result.rounds, result.trace
-            )
+            edge_set, rounds = decoded(result)
+            trace = result.trace
         else:
             edge_set, rounds = algorithm.run(graph)
 

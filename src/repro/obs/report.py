@@ -149,7 +149,13 @@ def _counter_lines(session: TelemetrySession) -> list[str]:
     if m.counter("runtime.runs"):
         delivered = m.counter("runtime.messages.delivered")
         dropped = m.counter("runtime.messages.dropped")
-        per_s = f", {rounds / wall:.1f} rounds/s" if wall else ""
+        # Round time is the ``simulate`` self time: its children (the
+        # ``simulate:decode`` output decoding, vector-view builds) are
+        # excluded.
+        simulate_s = m.summary("phase.simulate")["total"]
+        per_s = (
+            f", {rounds / simulate_s:.1f} rounds/s" if simulate_s else ""
+        )
         vector_runs = m.counter("runtime.vector.runs")
         vector_note = (
             f" ({vector_runs:g} on the vector engine)" if vector_runs else ""

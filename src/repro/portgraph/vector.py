@@ -62,6 +62,9 @@ class VectorGraph:
     all_ports:
         ``np.arange(num_ports)`` — the identity send list of a total
         broadcast round.
+    fixed_ports:
+        The fixed points of ``mate`` (directed loops, the only edges
+        with one port), so edge counts over a port mask stay exact.
     """
 
     __slots__ = (
@@ -76,6 +79,8 @@ class VectorGraph:
         "peer_node",
         "peer_local",
         "all_ports",
+        "fixed_ports",
+        "_has_ports",
         "_starts",
     )
 
@@ -99,43 +104,25 @@ class VectorGraph:
         self.local = self.all_ports - self.offsets[self.port_node] + 1
         self.peer_node = self.port_node[self.mate]
         self.peer_local = self.local[self.mate]
-        # reduceat segment starts, clipped so empty trailing segments
-        # stay in bounds (their results are masked out by callers).
-        if total:
-            self._starts = np.minimum(self.offsets[:-1], total - 1)
-        else:
-            self._starts = None
+        self.fixed_ports = np.flatnonzero(self.mate == self.all_ports)
+        # reduceat segment starts of the nodes that own ports.  Only
+        # empty segments lie between two of them, so each reduction
+        # spans exactly its node's ports (the last one runs to the end).
+        self._has_ports = self.degrees > 0
+        self._starts = self.offsets[:-1][self._has_ports]
 
     def segment_min(self, values, empty: int = _INT64_MAX):
         """Per-node minimum of a per-port int64 array.
 
         ``values[offsets[k]:offsets[k+1]].min()`` for every node, with
         *empty* filled in for degree-0 nodes (``reduceat`` has no empty
-        -segment semantics, so their slots are overwritten).
+        -segment semantics, so they are left out of the reduction).
         """
-        if self._starts is None:
-            return np.full(self.num_nodes, empty, dtype=np.int64)
-        out = np.minimum.reduceat(values, self._starts)
-        if (self.degrees == 0).any():
-            out = np.where(self.degrees == 0, empty, out)
+        if len(self._starts) == self.num_nodes:
+            return np.minimum.reduceat(values, self._starts)
+        out = np.full(self.num_nodes, empty, dtype=np.int64)
+        out[self._has_ports] = np.minimum.reduceat(values, self._starts)
         return out
-
-    def port_sets(self, mask) -> "list[frozenset[int]]":
-        """Per-node frozensets of the local ports selected by *mask*.
-
-        The one deliberately-Python step of the vector engine: outputs
-        are materialised once per run, after the array loop finishes.
-        """
-        selected = np.flatnonzero(mask)
-        locs = self.local[selected].tolist()
-        owners = self.port_node[selected]
-        bounds = np.searchsorted(
-            owners, np.arange(self.num_nodes + 1, dtype=np.int64)
-        )
-        return [
-            frozenset(locs[bounds[k]:bounds[k + 1]])
-            for k in range(self.num_nodes)
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VectorGraph(n={self.num_nodes}, ports={self.num_ports})"

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro.obs.spans import span
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import PortEdge
 from repro.registry.base import (
@@ -175,6 +176,13 @@ def register_algorithm(
 # ---------------------------------------------------------------------------
 
 
+def decoded(result: RunResult) -> tuple[frozenset[PortEdge], int]:
+    """``(edge_set, rounds)`` of a run, decoded under its own
+    ``simulate:decode`` span so profiles keep it apart from the rounds."""
+    with span("simulate:decode"):
+        return result.edge_set(), result.rounds
+
+
 def register_anonymous(
     name: str,
     factory_builder: Callable[..., AnonymousAlgorithm],
@@ -194,8 +202,7 @@ def register_anonymous(
             return factory_builder(graph, **bound)
 
         def run(graph: PortNumberedGraph):
-            result = run_anonymous(graph, factory(graph))
-            return result.edge_set(), result.rounds
+            return decoded(run_anonymous(graph, factory(graph)))
 
         def traced(graph: PortNumberedGraph) -> RunResult:
             return run_anonymous(graph, factory(graph), record_trace=True)
@@ -219,8 +226,9 @@ def register_identified(
 
     def bind(**bound: Any) -> BoundAlgorithm:
         def run(graph: PortNumberedGraph):
-            result = run_identified(graph, factory_builder(graph, **bound))
-            return result.edge_set(), result.rounds
+            return decoded(
+                run_identified(graph, factory_builder(graph, **bound))
+            )
 
         def traced(graph: PortNumberedGraph) -> RunResult:
             return run_identified(
@@ -252,10 +260,9 @@ def register_randomized(
 
     def bind(*, rng_seed: int, **bound: Any) -> BoundAlgorithm:
         def run(graph: PortNumberedGraph):
-            result = run_randomized(
+            return decoded(run_randomized(
                 graph, program_builder(graph, **bound), seed=rng_seed
-            )
-            return result.edge_set(), result.rounds
+            ))
 
         def traced(graph: PortNumberedGraph) -> RunResult:
             return run_randomized(

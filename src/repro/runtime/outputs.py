@@ -4,17 +4,44 @@ A node ``v`` announces a subset ``X(v)`` of its ports; the selected edge
 set is ``D = {edge at (v, i) : i in X(v)}``.  The paper requires internal
 consistency: if ``i ∈ X(v)`` and ``p(v, i) = (u, j)`` then ``j ∈ X(u)``.
 :func:`decode_edge_set` enforces this and returns the edges.
+
+The vector engine produces the same information as a **port mask**: one
+bool per global CSR port of the compiled graph, ``True`` where the port
+is in its owner's ``X(v)``.  Consistency is then ``mask == mask[mate]``
+(:func:`check_mask_consistency`), and the two views below stand in for
+the per-node dict and the edge frozenset without building one Python
+object per node or edge: :class:`PortMaskOutputs` is the node → ``X(v)``
+mapping, :class:`PortMaskEdgeSet` the checked edge set.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping as MappingABC
+from collections.abc import Set as SetABC
 from typing import Mapping
 
 from repro.exceptions import InconsistentOutputError
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node, PortEdge
+from repro.portgraph.vector import np
 
-__all__ = ["check_consistency", "decode_edge_set", "edge_set_to_outputs"]
+__all__ = [
+    "PortMaskEdgeSet",
+    "PortMaskOutputs",
+    "check_consistency",
+    "check_mask_consistency",
+    "decode_edge_set",
+    "edge_set_to_outputs",
+]
+
+
+def _inconsistency(
+    v: Node, i: int, u: Node, j: int
+) -> InconsistentOutputError:
+    return InconsistentOutputError(
+        f"inconsistent output: {i} ∈ X({v!r}) and "
+        f"p({v!r}, {i}) = ({u!r}, {j}) but {j} ∉ X({u!r})"
+    )
 
 
 def check_consistency(
@@ -35,10 +62,23 @@ def check_consistency(
                 )
             u, j = graph.connection(v, i)
             if j not in outputs[u]:
-                raise InconsistentOutputError(
-                    f"inconsistent output: {i} ∈ X({v!r}) and "
-                    f"p({v!r}, {i}) = ({u!r}, {j}) but {j} ∉ X({u!r})"
-                )
+                raise _inconsistency(v, i, u, j)
+
+
+def check_mask_consistency(cg, mask) -> None:
+    """:func:`check_consistency` for a port mask over compiled graph *cg*.
+
+    Raises the same message, naming the first selected port (in global
+    port order) whose mate is not selected.
+    """
+    mate = cg.vector().mate
+    mate_bits = mask[mate]
+    if np.array_equal(mask, mate_bits):
+        return
+    g = int(np.flatnonzero(mask & ~mate_bits)[0])
+    v, i = cg.port(g)
+    u, j = cg.port(int(mate[g]))
+    raise _inconsistency(v, i, u, j)
 
 
 def decode_edge_set(
@@ -65,3 +105,97 @@ def edge_set_to_outputs(
     """Inverse of :func:`decode_edge_set`: the port sets selecting *edges*."""
     ports = graph.induced_subgraph_ports(edges)
     return {v: frozenset(ports[v]) for v in graph.nodes}
+
+
+class PortMaskOutputs(MappingABC):
+    """Node → ``X(v)`` over a port mask, built per node on lookup.
+
+    Compares equal to the ``dict[Node, frozenset[int]]`` the other
+    engines return.
+    """
+
+    __slots__ = ("cg", "mask")
+
+    def __init__(self, cg, mask) -> None:
+        self.cg = cg
+        self.mask = mask
+
+    def __getitem__(self, node: Node) -> frozenset[int]:
+        k = self.cg.node_index[node]
+        offsets = self.cg.offsets
+        ports = np.flatnonzero(self.mask[offsets[k]:offsets[k + 1]]) + 1
+        return frozenset(ports.tolist())
+
+    def __iter__(self):
+        return iter(self.cg.nodes)
+
+    def __len__(self) -> int:
+        return self.cg.num_nodes
+
+
+class PortMaskEdgeSet(SetABC):
+    """The selected edge set ``D`` as a checked view over a port mask.
+
+    Construction runs :func:`check_mask_consistency`.  ``len`` is
+    precomputed; :class:`PortEdge` objects are built only when the set
+    is iterated, hashed or compared.  It compares and hashes equal to
+    the frozenset :func:`decode_edge_set` returns, and set operations
+    yield frozensets.
+    """
+
+    __slots__ = ("cg", "mask", "_len", "_edges")
+
+    def __init__(self, cg, mask) -> None:
+        check_mask_consistency(cg, mask)
+        self.cg = cg
+        self.mask = mask
+        # Every edge has two selected ports except a directed loop.
+        fixed = cg.vector().fixed_ports
+        ports = int(np.count_nonzero(mask))
+        self._len = (ports + int(np.count_nonzero(mask[fixed]))) // 2
+        self._edges: frozenset[PortEdge] | None = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _materialise(self) -> frozenset[PortEdge]:
+        if self._edges is None:
+            vg = self.cg.vector()
+            g = np.flatnonzero(self.mask & (vg.all_ports <= vg.mate))
+            h = vg.mate[g]
+            nodes = self.cg.nodes
+            self._edges = frozenset(
+                PortEdge(nodes[a], i, nodes[b], j)
+                for a, i, b, j in zip(
+                    vg.port_node[g].tolist(),
+                    vg.local[g].tolist(),
+                    vg.port_node[h].tolist(),
+                    vg.local[h].tolist(),
+                )
+            )
+        return self._edges
+
+    def __iter__(self):
+        return iter(self._materialise())
+
+    def __contains__(self, edge: object) -> bool:
+        if not isinstance(edge, PortEdge):
+            return False
+        cg = self.cg
+        k = cg.node_index.get(edge.u)
+        if k is None or not 1 <= edge.i <= cg.degrees[k]:
+            return False
+        g = cg.gport(k, edge.i)
+        return bool(self.mask[g]) and (
+            cg.port(cg.mate[g]) == (edge.v, edge.j)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._materialise())
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset[PortEdge]:
+        return frozenset(it)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"PortMaskEdgeSet({len(self)} edges)"

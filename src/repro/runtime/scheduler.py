@@ -29,7 +29,8 @@ share the public entry points:
   all nodes in one call per round instead of ``2·n`` dispatches;
 * ``"vector"`` — the numpy struct-of-arrays loop
   (:mod:`repro.runtime.vector`): one round is a handful of whole-graph
-  array operations.  Needs the optional ``[vector]`` extra (numpy) —
+  array operations, and the solution stays a port mask (see below).
+  Needs the optional ``[vector]`` extra (numpy) —
   selecting it explicitly without numpy raises
   :class:`~repro.exceptions.SimulationError`; algorithms without a
   vector kernel fall back to the compiled engine with a one-time
@@ -46,6 +47,21 @@ All engines are observationally identical — same outputs, rounds, and
 traces; ``tests/test_runtime_compiled.py`` enforces this across the full
 algorithm × graph-family matrix.  Pick one per call (``engine=``) or for
 a whole region with :func:`use_engine`.
+
+Solution types
+--------------
+
+The compiled, batch, pernode and legacy engines return
+``RunResult.outputs`` as a ``dict`` of per-node port sets, and
+:meth:`RunResult.edge_set` decodes it with
+:func:`~repro.runtime.outputs.decode_edge_set`.  The vector engine keeps
+its solution as a **port mask** (``RunResult.port_mask``, one bool per
+global CSR port): ``outputs`` is then a lazy
+:class:`~repro.runtime.outputs.PortMaskOutputs` mapping and
+``edge_set()`` a checked :class:`~repro.runtime.outputs.PortMaskEdgeSet`
+view, equal to the dict and frozenset the other engines give but with
+§2.2 consistency, size and (in :mod:`repro.eds.properties`) feasibility
+computed as array operations.
 """
 
 from __future__ import annotations
@@ -53,8 +69,8 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Mapping
 
 from repro.exceptions import RoundLimitExceeded, SimulationError
 from repro.obs.spans import current_recorder
@@ -66,7 +82,11 @@ from repro.runtime.algorithm import (
     NodeProgram,
 )
 from repro.runtime.batch import BatchProgram
-from repro.runtime.outputs import decode_edge_set
+from repro.runtime.outputs import (
+    PortMaskEdgeSet,
+    PortMaskOutputs,
+    decode_edge_set,
+)
 from repro.runtime.trace import ExecutionTrace, trace_from_log
 
 __all__ = [
@@ -121,15 +141,22 @@ def _resolve_engine(engine: str | None) -> str:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one simulated execution."""
+    """Outcome of one simulated execution.
+
+    ``port_mask`` is set by the vector engine only: the solution as one
+    bool per global CSR port, with ``outputs`` a lazy view over it.
+    """
 
     graph: PortNumberedGraph
     outputs: Mapping[Node, frozenset[int]]
     rounds: int
     trace: ExecutionTrace | None = None
+    port_mask: Any = field(default=None, compare=False, repr=False)
 
-    def edge_set(self) -> frozenset[PortEdge]:
+    def edge_set(self) -> "frozenset[PortEdge] | PortMaskEdgeSet":
         """Decode the outputs into the selected edge set (checked)."""
+        if self.port_mask is not None:
+            return PortMaskEdgeSet(self.graph.compiled(), self.port_mask)
         return decode_edge_set(self.graph, self.outputs)
 
     def output_of(self, node: Node) -> frozenset[int]:
@@ -312,7 +339,11 @@ def _execute_vector(
     record_trace: bool,
     strict_delivery: bool = False,
 ) -> RunResult:
-    """The vector round loop: one array-ops ``step_all`` per round."""
+    """The vector round loop: one array-ops ``step_all`` per round.
+
+    The result carries the program's output mask as is; no per-node
+    outputs are built.
+    """
     vec.record = record_trace
     vec.strict = strict_delivery
     rec = current_recorder()
@@ -329,11 +360,6 @@ def _execute_vector(
         rnd += 1
 
     cg = vec.cg
-    outputs: dict[Node, frozenset[int]] = {}
-    for k, v in enumerate(cg.nodes):
-        out = vec.outputs[k]
-        assert out is not None  # loop exits only when all nodes halted
-        outputs[v] = out
     if rec is not None:
         _record_run(rec, rnd, vec.delivered, vec.dropped)
         rec.count("runtime.vector.runs")
@@ -341,7 +367,14 @@ def _execute_vector(
     trace = None
     if record_trace:
         trace = trace_from_log(cg, vec.materialise_log())
-    return RunResult(graph=graph, outputs=outputs, rounds=rnd, trace=trace)
+    mask = vec.out_mask
+    return RunResult(
+        graph=graph,
+        outputs=PortMaskOutputs(cg, mask),
+        rounds=rnd,
+        trace=trace,
+        port_mask=mask,
+    )
 
 
 #: Algorithms already reported as lacking a vector kernel (the

@@ -14,6 +14,13 @@ canonical order (ascending node index, then the per-node program's send
 -mapping order) as the compiled engine — the differential suite holds
 every vector kernel to that.
 
+The solution is a **port mask**: ``out_mask`` holds one bool per global
+CSR port, and a kernel marks the ports of ``X(v)`` in it as node ``v``
+halts.  The scheduler hands the mask on unchanged
+(:class:`~repro.runtime.outputs.PortMaskOutputs` /
+:class:`~repro.runtime.outputs.PortMaskEdgeSet`), so no per-node or
+per-edge Python object is built unless a caller asks for one.
+
 Tracing is *lazy*: the hot loop never allocates message objects.  When
 a trace is requested, each round appends compact **slabs** — the send
 gports plus a payload code and up to two int columns — and
@@ -106,10 +113,12 @@ class VectorProgram(abc.ABC):
     """All nodes of one graph, stepped together as numpy arrays.
 
     Mirrors the :class:`~repro.runtime.batch.BatchProgram` surface the
-    scheduler reads — ``running``/``num_running``, ``outputs``,
-    ``newly_halted``, the ``record``/``strict``/``collect`` flags and
-    the ``delivered``/``dropped`` counters — but ``running`` is a numpy
-    bool array and one :meth:`step_all` is array ops end to end.
+    scheduler reads — ``running``/``num_running``, the
+    ``record``/``strict``/``collect`` flags and the
+    ``delivered``/``dropped`` counters — but ``running`` is a numpy bool
+    array, the outputs are the per-port ``out_mask`` and one
+    :meth:`step_all` is array ops end to end.  ``newly_halted`` is only
+    kept while recording a trace.
 
     Subclasses implement :meth:`_step`; the base class owns the round
     scaffolding, drop/strict accounting (:meth:`deliver`) and the lazy
@@ -121,7 +130,7 @@ class VectorProgram(abc.ABC):
         "vg",
         "running",
         "num_running",
-        "outputs",
+        "out_mask",
         "newly_halted",
         "record",
         "strict",
@@ -139,12 +148,10 @@ class VectorProgram(abc.ABC):
         vg = cg.vector()
         self.vg = vg
         # Degree-0 nodes can never receive information: halted up front
-        # with empty output, exactly like the other engines.
+        # with empty output (they own no ports), like the other engines.
         self.running = vg.degrees > 0
         self.num_running = int(self.running.sum())
-        self.outputs: list[frozenset[int] | None] = [
-            None if degree > 0 else frozenset() for degree in cg.degrees
-        ]
+        self.out_mask = np.zeros(vg.num_ports, dtype=bool)
         self.newly_halted: list[int] = []
         self.record = False
         self.strict = False
@@ -161,15 +168,16 @@ class VectorProgram(abc.ABC):
     @abc.abstractmethod
     def _step(self, rnd: int) -> None:
         """Execute round *rnd*: send (via :meth:`deliver` +
-        :meth:`log_sends`), update array state, halt nodes via
+        :meth:`log_sends`), update array state, mark the outputs of
+        halting nodes in ``out_mask`` and halt them via
         :meth:`halt_nodes`."""
 
     # -- round scaffolding -------------------------------------------------
 
     def step_all(self, rnd: int) -> None:
         """One full round; trace bookkeeping wraps the kernel step."""
-        self.newly_halted.clear()
         if self.record:
+            self.newly_halted.clear()
             self._slabs.append([])
         self._step(rnd)
         if self.record:
@@ -217,14 +225,21 @@ class VectorProgram(abc.ABC):
         dropped = None if delivered is None else ~delivered
         self._slabs[-1].append((gports, code, a, b, dropped))
 
-    def halt_nodes(self, ks, outputs) -> None:
-        """Halt the nodes with indices *ks* (ascending) with *outputs*."""
-        out = self.outputs
-        for k, result in zip(ks, outputs):
-            out[k] = result
+    def halt_nodes(self, ks) -> None:
+        """Halt the nodes with indices *ks* (ascending).
+
+        Their outputs must already be marked in ``out_mask``.
+        """
         self.running[ks] = False
         self.num_running -= len(ks)
-        self.newly_halted.extend(int(k) for k in ks)
+        if self.record:
+            self.newly_halted.extend(ks.tolist())
+
+    def ports_of(self, ks):
+        """Per-port bool mask of the ports owned by the nodes *ks*."""
+        owned = np.zeros(self.vg.num_nodes, dtype=bool)
+        owned[ks] = True
+        return owned[self.vg.port_node]
 
     # -- lazy trace --------------------------------------------------------
 

@@ -7,22 +7,37 @@ matrix cannot: the engine-selection contract — ``auto`` degrading
 silently, explicit ``vector`` raising without numpy, the one-time
 fallback notice for algorithms without a vector kernel — plus the
 vector-specific plumbing (memoised :class:`VectorGraph` views, lazy
-trace slabs, telemetry annotations).  Everything here runs (or
-explicitly skips) on the no-numpy CI job too.
+trace slabs, telemetry annotations) and the port-mask solution type,
+differentially against the compiled engine on random port numberings.
+Everything here runs (or explicitly skips) on the no-numpy CI job too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms.bounded_degree import BoundedDegreeEDS
+from repro.algorithms.double_cover import DominatingTwoMatching
 from repro.algorithms.maximal_matching_ids import GreedyMaximalMatchingIds
-from repro.exceptions import SimulationError
+from repro.algorithms.port_one import PortOneEDS
+from repro.algorithms.regular_odd import RegularOddEDS
+from repro.eds.properties import (
+    _is_eds_mask,
+    is_edge_dominating_set,
+    undominated_edges,
+)
+from repro.exceptions import InconsistentOutputError, SimulationError
 from repro.portgraph import PortGraphBuilder
 from repro.registry.families import get_family
 from repro.runtime import (
     NodeProgram,
+    check_consistency,
+    decode_edge_set,
     engines_available,
     run_anonymous,
     run_identified,
@@ -30,6 +45,7 @@ from repro.runtime import (
     vector_available,
 )
 from repro.runtime import scheduler as scheduler_module
+from repro.runtime.outputs import PortMaskOutputs
 
 needs_numpy = pytest.mark.skipif(
     not vector_available(), reason="numpy not installed"
@@ -193,6 +209,20 @@ class TestVectorGraphView:
         out = vg.segment_min(values, empty=99)
         assert list(out) == [5, 3, 99]
 
+    def test_segment_min_trailing_empty_after_wide_node(self):
+        """A degree-0 node after the last port owner must not cut that
+        owner's segment short."""
+        import numpy as np
+
+        builder = PortGraphBuilder()
+        builder.add_nodes({0: 0, 1: 1, 2: 2, 3: 0})
+        builder.connect(1, 1, 2, 2)
+        builder.connect_fixed_point(2, 1)
+        vg = builder.build().compiled().vector()
+        values = np.array([7, 9, 4], dtype=np.int64)
+        out = vg.segment_min(values, empty=99)
+        assert list(out) == [99, 7, 4, 99]
+
 
 @needs_numpy
 class TestLazyTraces:
@@ -238,3 +268,130 @@ class TestIdOverflow:
         )
         assert with_ids.outputs == reference.outputs
         assert with_ids.rounds == reference.rounds
+
+
+@st.composite
+def port_numberings(draw, max_degree: int = 4):
+    """A random port-numbered graph: any degrees (0 included) and a
+    random involution on the ports, so undirected loops, parallel edges
+    and the odd directed loop (fixed point) all occur."""
+    degrees = draw(
+        st.lists(st.integers(0, max_degree), min_size=1, max_size=8)
+    )
+    ports = [(k, i) for k, d in enumerate(degrees) for i in range(1, d + 1)]
+    pending = list(draw(st.permutations(ports)))
+    fixed = draw(st.sets(st.integers(0, max(len(ports) - 1, 0)), max_size=2))
+    builder = PortGraphBuilder()
+    builder.add_nodes(dict(enumerate(degrees)))
+    while pending:
+        a = pending.pop()
+        if len(pending) in fixed or not pending:
+            builder.connect_fixed_point(*a)
+        else:
+            builder.connect(*a, *pending.pop())
+    return builder.build()
+
+
+def _run(kernel: str, graph, engine: str):
+    # A node with a loop never runs out of live neighbours in the greedy
+    # matching: both engines hit the round limit, kept small here.
+    if kernel == "ids_greedy":
+        return run_identified(
+            graph, GreedyMaximalMatchingIds, engine=engine, max_rounds=200
+        )
+    delta = max(graph.max_degree, 1)
+    algorithm = {
+        "port_one": PortOneEDS,
+        "regular_odd": RegularOddEDS,
+        "bounded_degree": BoundedDegreeEDS(delta),
+        "all_edges": BoundedDegreeEDS(1),
+        "double_cover": DominatingTwoMatching(delta),
+    }[kernel]
+    return run_anonymous(graph, algorithm, engine=engine)
+
+
+#: Every vector kernel, with the largest degree its generated graphs get
+#: (``all_edges`` is A(1), the Δ = 1 member of the Theorem 5 family).
+KERNELS = {
+    "port_one": 4,
+    "regular_odd": 4,
+    "bounded_degree": 4,
+    "all_edges": 1,
+    "double_cover": 4,
+    "ids_greedy": 4,
+}
+
+
+@needs_numpy
+class TestPortMaskDifferential:
+    """The vector engine's port mask against the compiled engine's dict
+    outputs, on random port numberings."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_mask_matches_compiled(self, kernel):
+        @settings(max_examples=100, deadline=None)
+        @given(port_numberings(KERNELS[kernel]))
+        def check(graph):
+            try:
+                compiled = _run(kernel, graph, "compiled")
+            except SimulationError as exc:
+                with pytest.raises(type(exc)):
+                    _run(kernel, graph, "vector")
+                return
+            vector = _run(kernel, graph, "vector")
+            assert vector.port_mask is not None
+            assert vector.outputs == compiled.outputs
+            assert vector.rounds == compiled.rounds
+
+            reference = decode_edge_set(graph, compiled.outputs)
+            view = vector.edge_set()
+            assert len(view) == len(reference)
+            assert set(view) == reference
+            assert all(edge in view for edge in reference)
+
+            assert _is_eds_mask(graph, view) is not None
+            assert is_edge_dominating_set(graph, view) == (
+                not undominated_edges(graph, reference)
+            )
+
+        check()
+
+
+@needs_numpy
+class TestPortMaskView:
+    def _vector_run(self):
+        graph = get_family("regular").make({"d": 3, "n": 10}, 7)
+        return graph, run_anonymous(graph, PortOneEDS, engine="vector")
+
+    def test_broken_half_edge_raises_like_check_consistency(self):
+        """Clearing one port of a selected edge is caught by the view
+        with the dict checker's exact node/port message."""
+        graph, result = self._vector_run()
+        vg = graph.compiled().vector()
+        mask = result.port_mask.copy()
+        g = next(
+            int(g) for g in mask.nonzero()[0] if vg.mate[g] != g
+        )
+        mask[g] = False
+        broken = dataclasses.replace(
+            result,
+            outputs=PortMaskOutputs(graph.compiled(), mask),
+            port_mask=mask,
+        )
+        with pytest.raises(InconsistentOutputError) as from_mask:
+            broken.edge_set()
+        with pytest.raises(InconsistentOutputError) as from_dict:
+            check_consistency(graph, dict(broken.outputs))
+        assert str(from_mask.value) == str(from_dict.value)
+        assert "inconsistent output" in str(from_mask.value)
+
+    def test_view_equals_and_hashes_like_frozenset(self):
+        graph, result = self._vector_run()
+        view = result.edge_set()
+        frozen = decode_edge_set(graph, dict(result.outputs))
+        assert view == frozen
+        assert frozen == view
+        assert hash(view) == hash(frozen)
+        assert {frozen: "found"}[view] == "found"
+        assert isinstance(view | frozen, frozenset)
+        assert view == result.edge_set()
