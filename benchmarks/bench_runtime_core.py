@@ -1,34 +1,35 @@
-"""The simulation-core perf trajectory: legacy vs compiled vs vector.
+"""The simulation-core perf trajectory: pernode vs vector.
 
-This is the repo's core performance number across its engine rewrites
-(PR 5's compiled flat-array loop, this PR's numpy struct-of-arrays
-loop): for representative ``large-regular`` and ``xlarge-regular``
-cells it times the engines against each other, asserts they produce
-identical results, and derives units/sec and rounds/sec throughput.
+The two engines that remain are the node programs over the compiled
+flat arrays (``pernode``, the executable paper spec and the path of
+every algorithm without a kernel) and the numpy struct-of-arrays
+kernels (``vector``, the default).  For representative
+``large-regular`` and ``xlarge-regular`` cells this benchmark times
+them against each other, asserts they produce identical results, and
+derives rounds/sec throughput.
 
-Two timing disciplines per engine:
+Two timing disciplines:
 
 * **cold** — a fresh graph every rep, so the figure *includes* graph
-  compilation plus batch/vector program construction (the engine-
-  realistic first-contact cost);
+  compilation plus program construction (the engine-realistic
+  first-contact cost);
 * **warm** — one graph reused across reps after an untimed priming
-  run, so the memoised derived tables (compiled schedules, vector
-  slabs) are already in place and the figure is the round loop itself.
+  run, so the memoised derived tables (vector view, kernel schedules)
+  are already in place and the figure is the round loop itself.
 
-The legacy reference loop is only timed on the ``large`` cells — on
-the ``xlarge`` ones it would dominate the benchmark's own runtime by
-minutes while measuring nothing new.  The vector columns are ``null``
-when numpy (the optional ``[vector]`` extra) is absent.
+pernode warm is only timed on the ``large`` cells: node programs keep
+no per-graph tables beyond the compiled form, so on the ``xlarge``
+cells it would add minutes of runtime while measuring nothing new.
 
 Run as a script to emit the machine-readable trajectory artifact::
 
-    PYTHONPATH=src python benchmarks/bench_runtime_core.py --out BENCH_runtime.json
+    PYTHONPATH=src:benchmarks python benchmarks/bench_runtime_core.py --out BENCH_runtime.json
 
-CI uploads the JSON as a build artifact; the committed copy records the
-container this PR was developed in.  The pytest entry points double as
-the perf-smoke gates (compiled ≥ 2× legacy, vector ≥ 2× compiled on
-round-dominated units — deliberately generous floors; the measured
-margins are far higher) and the determinism check.
+CI uploads the JSON as a build artifact.  The pytest entry points double
+as the perf-smoke gate (vector ≥ 2× pernode cold on two units — a
+deliberately generous floor; the measured margins are far higher), the
+≥ 5× acceptance number on every round-dominated cell, and the
+telemetry-overhead gate on both engines.
 """
 
 from __future__ import annotations
@@ -43,17 +44,15 @@ import pytest
 from repro.obs import recording
 from repro.registry.algorithms import resolve
 from repro.registry.families import get_family
-from repro.runtime import use_engine, vector_available
+from repro.runtime import use_engine
 
 from conftest import emit
 
-#: Representative cells of the ``large-regular`` scenario (n ≤ 2048,
-#: legacy included) plus ``xlarge-regular`` cells (n = 16384, legacy
-#: skipped).  ``round_dominated`` marks units whose cost is the round
-#: loop itself — the speedup claims attach to those; ``port_one`` is a
-#: single round, so its run is setup-dominated and reported without the
-#: claim.  The ≥ 5× vector-over-compiled acceptance number of the
-#: vector-engine PR attaches to the round-dominated *xlarge* cells.
+#: Representative cells of the ``large-regular`` scenario (n = 1024)
+#: plus ``xlarge-regular`` cells (n = 16384).  ``round_dominated``
+#: marks units whose cost is the round loop itself — the speedup claim
+#: attaches to those; ``port_one`` is a single round, so its run is
+#: setup-dominated and reported without the claim.
 UNITS = (
     {"algorithm": "port_one", "d": 5, "n": 1024,
      "round_dominated": False, "xlarge": False},
@@ -116,73 +115,44 @@ def _ratio(numerator, denominator):
 
 
 def measure_units() -> dict:
-    """Time every unit on every applicable engine; assemble the rows."""
-    with_vector = vector_available()
+    """Time every unit on both engines; assemble the rows."""
     rows = []
     for unit in UNITS:
-        compiled_cold, compiled_out = _time_engine(unit, "compiled")
-        compiled_warm, _ = _time_engine(unit, "compiled", warm=True)
-        rounds = compiled_out[1]
-        row = {
+        pernode_cold, pernode_out = _time_engine(unit, "pernode")
+        vector_cold, vector_out = _time_engine(unit, "vector")
+        vector_warm, _ = _time_engine(unit, "vector", warm=True)
+        assert vector_out == pernode_out, f"engines disagree on {unit}"
+        pernode_warm = None
+        if not unit["xlarge"]:
+            pernode_warm, _ = _time_engine(unit, "pernode", warm=True)
+        rounds = vector_out[1]
+        rows.append({
             **unit,
             "rounds": rounds,
-            "compiled_cold_s": round(compiled_cold, 6),
-            "compiled_warm_s": round(compiled_warm, 6),
-            "rounds_per_s_compiled_cold": round(rounds / compiled_cold, 1),
-            "rounds_per_s_compiled_warm": round(rounds / compiled_warm, 1),
-            "legacy_s": None,
-            "speedup": None,
-            "vector_cold_s": None,
-            "vector_warm_s": None,
-            "rounds_per_s_vector_cold": None,
-            "rounds_per_s_vector_warm": None,
-            "vector_speedup_cold": None,
-            "vector_speedup_warm": None,
-        }
-        if not unit["xlarge"]:
-            legacy_s, legacy_out = _time_engine(unit, "legacy")
-            assert legacy_out == compiled_out, f"engines disagree on {unit}"
-            row["legacy_s"] = round(legacy_s, 6)
-            row["speedup"] = _ratio(legacy_s, compiled_cold)
-        if with_vector:
-            vector_cold, vector_out = _time_engine(unit, "vector")
-            vector_warm, _ = _time_engine(unit, "vector", warm=True)
-            assert vector_out == compiled_out, f"engines disagree on {unit}"
-            row["vector_cold_s"] = round(vector_cold, 6)
-            row["vector_warm_s"] = round(vector_warm, 6)
-            row["rounds_per_s_vector_cold"] = round(rounds / vector_cold, 1)
-            row["rounds_per_s_vector_warm"] = round(rounds / vector_warm, 1)
-            row["vector_speedup_cold"] = _ratio(compiled_cold, vector_cold)
-            row["vector_speedup_warm"] = _ratio(compiled_warm, vector_warm)
-        rows.append(row)
+            "pernode_cold_s": round(pernode_cold, 6),
+            "pernode_warm_s": (
+                None if pernode_warm is None else round(pernode_warm, 6)
+            ),
+            "vector_cold_s": round(vector_cold, 6),
+            "vector_warm_s": round(vector_warm, 6),
+            "rounds_per_s_pernode_cold": round(rounds / pernode_cold, 1),
+            "rounds_per_s_vector_cold": round(rounds / vector_cold, 1),
+            "rounds_per_s_vector_warm": round(rounds / vector_warm, 1),
+            "speedup_cold": _ratio(pernode_cold, vector_cold),
+            "speedup_warm": _ratio(pernode_warm, vector_warm),
+        })
 
-    dominated = [
-        r["speedup"] for r in rows
-        if r["round_dominated"] and r["speedup"] is not None
-    ]
-    vector_dominated = [
-        r["vector_speedup_cold"] for r in rows
-        if r["round_dominated"] and r["xlarge"]
-        and r["vector_speedup_cold"] is not None
-    ]
+    dominated = [r["speedup_cold"] for r in rows if r["round_dominated"]]
     return {
         "benchmark": (
-            "runtime-core legacy vs compiled vs vector "
-            "(large/xlarge-regular cells)"
+            "runtime-core pernode vs vector (large/xlarge-regular cells)"
         ),
         "reps_best_of": REPS,
-        "vector_available": with_vector,
         "units": rows,
         "summary": {
+            # cold pernode-over-vector on the round-dominated cells
             "round_dominated_min_speedup": min(dominated),
             "round_dominated_max_speedup": max(dominated),
-            # cold vector-over-compiled on round-dominated xlarge cells
-            "vector_min_speedup": (
-                min(vector_dominated) if vector_dominated else None
-            ),
-            "vector_max_speedup": (
-                max(vector_dominated) if vector_dominated else None
-            ),
         },
     }
 
@@ -193,42 +163,27 @@ def _fmt_ms(seconds) -> str:
 
 def format_table(payload: dict) -> str:
     lines = [
-        "runtime core: legacy vs compiled vs vector (best of "
+        "runtime core: pernode vs vector (best of "
         f"{payload['reps_best_of']}; cold = fresh graph per rep, "
         "warm = memoised tables)",
-        f"{'unit':30s} {'legacy':>8s} {'cmp cold':>9s} {'cmp warm':>9s} "
-        f"{'vec cold':>9s} {'vec warm':>9s} {'vec x':>6s}",
+        f"{'unit':30s} {'pn cold':>9s} {'pn warm':>9s} "
+        f"{'vec cold':>9s} {'vec warm':>9s} {'cold x':>7s}",
     ]
     for row in payload["units"]:
         label = f"{row['algorithm']} d={row['d']} n={row['n']}"
-        vec_x = (
-            "     —" if row["vector_speedup_cold"] is None
-            else f"{row['vector_speedup_cold']:5.1f}x"
-        )
         lines.append(
-            f"{label:30s} {_fmt_ms(row['legacy_s'])}ms"
-            f" {_fmt_ms(row['compiled_cold_s'])}ms"
-            f" {_fmt_ms(row['compiled_warm_s'])}ms"
+            f"{label:30s} {_fmt_ms(row['pernode_cold_s'])}ms"
+            f" {_fmt_ms(row['pernode_warm_s'])}ms"
             f" {_fmt_ms(row['vector_cold_s'])}ms"
-            f" {_fmt_ms(row['vector_warm_s'])}ms {vec_x}"
+            f" {_fmt_ms(row['vector_warm_s'])}ms"
+            f" {row['speedup_cold']:6.1f}x"
         )
     summary = payload["summary"]
     lines.append(
-        "round-dominated, legacy → compiled (cold): "
+        "round-dominated, pernode → vector (cold): "
         f"{summary['round_dominated_min_speedup']:.1f}x – "
         f"{summary['round_dominated_max_speedup']:.1f}x"
     )
-    if summary["vector_min_speedup"] is not None:
-        lines.append(
-            "round-dominated xlarge, compiled → vector (cold): "
-            f"{summary['vector_min_speedup']:.1f}x – "
-            f"{summary['vector_max_speedup']:.1f}x"
-        )
-    else:
-        lines.append(
-            "vector engine unavailable (numpy not installed); "
-            "vector columns skipped"
-        )
     return "\n".join(lines)
 
 
@@ -237,55 +192,48 @@ def format_table(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def test_perf_smoke_compiled_beats_legacy():
-    """CI gate: ≥ 2× on one large-regular unit.  The threshold is kept
-    far below the measured margin (≥ 5×) so shared-runner noise cannot
-    flake it."""
-    unit = {"algorithm": "regular_odd", "d": 5, "n": 512}
-    legacy_s, legacy_out = _time_engine(unit, "legacy")
-    compiled_s, compiled_out = _time_engine(unit, "compiled")
-    assert legacy_out == compiled_out
-    emit(
-        f"perf smoke regular_odd d=5 n=512: legacy={legacy_s * 1000:.1f} ms, "
-        f"compiled={compiled_s * 1000:.1f} ms "
-        f"({legacy_s / compiled_s:.1f}x)"
-    )
-    assert legacy_s / compiled_s >= 2.0
-
-
-@pytest.mark.skipif(not vector_available(), reason="numpy not installed")
-def test_perf_smoke_vector_beats_compiled():
-    """CI gate: vector ≥ 2× over compiled cold on one round-dominated
-    xlarge unit.  As above, the floor is far below the measured margin
-    (≥ 5× on bounded_degree) to keep shared runners from flaking it."""
-    unit = {"algorithm": "bounded_degree", "d": 9, "n": 16384}
-    compiled_s, compiled_out = _time_engine(unit, "compiled")
+@pytest.mark.parametrize("unit", [
+    {"algorithm": "regular_odd", "d": 5, "n": 512},
+    {"algorithm": "bounded_degree", "d": 9, "n": 16384},
+], ids=lambda unit: f"{unit['algorithm']}-d{unit['d']}-n{unit['n']}")
+def test_perf_smoke_vector_beats_pernode(unit):
+    """CI gate: vector ≥ 2× over pernode cold on a large-regular and an
+    xlarge-regular round-dominated unit.  The floor is far below the
+    measured margin (≥ 10×) so shared-runner noise cannot flake it."""
+    pernode_s, pernode_out = _time_engine(unit, "pernode")
     vector_s, vector_out = _time_engine(unit, "vector")
-    assert vector_out == compiled_out
+    assert vector_out == pernode_out
     emit(
-        f"perf smoke bounded_degree d=9 n=16384: "
-        f"compiled={compiled_s * 1000:.1f} ms, "
+        f"perf smoke {unit['algorithm']} d={unit['d']} n={unit['n']}: "
+        f"pernode={pernode_s * 1000:.1f} ms, "
         f"vector={vector_s * 1000:.1f} ms "
-        f"({compiled_s / vector_s:.1f}x)"
+        f"({pernode_s / vector_s:.1f}x)"
     )
-    assert compiled_s / vector_s >= 2.0
+    assert pernode_s / vector_s >= 2.0
 
 
 def test_round_dominated_units_speed_up_5x():
-    """The PR-5 acceptance number on the full unit set (and the
-    committed BENCH_runtime.json was produced by exactly this
-    measurement) — now extended with the vector-engine acceptance
-    number: cold vector-over-compiled ≥ 5× on at least one
-    round-dominated xlarge-regular unit."""
+    """The acceptance number on the full unit set (the committed
+    BENCH_runtime.json was produced by exactly this measurement): cold
+    vector-over-pernode ≥ 5× on every round-dominated cell."""
     payload = measure_units()
     emit(format_table(payload))
     assert payload["summary"]["round_dominated_min_speedup"] >= 5.0
-    if payload["vector_available"]:
-        assert payload["summary"]["vector_max_speedup"] >= 5.0
-        assert payload["summary"]["vector_min_speedup"] >= 1.5
 
 
-def test_telemetry_overhead_under_5_percent():
+#: Telemetry-overhead unit per engine.  Each timed sample runs three
+#: fresh graphs; the vector unit is sized so one sample (~135 ms on a
+#: 2-core Xeon) lasts at least as long as the former compiled-engine
+#: sample on ``regular_odd`` d=5 n=1024 (~120 ms), keeping the 5%
+#: margin well above timer and scheduler noise.
+TELEMETRY_UNITS = {
+    "pernode": {"algorithm": "regular_odd", "d": 5, "n": 1024},
+    "vector": {"algorithm": "bounded_degree", "d": 9, "n": 8192},
+}
+
+
+@pytest.mark.parametrize("engine", sorted(TELEMETRY_UNITS))
+def test_telemetry_overhead_under_5_percent(engine):
     """The always-on-cheap gate for the telemetry subsystem: on a
     round-dominated unit the instrumented round loop may cost at most
     5% extra.  Measured with a recorder actively *collecting* — a strict
@@ -304,14 +252,14 @@ def test_telemetry_overhead_under_5_percent():
     import gc as _gc
     import statistics
 
-    unit = {"algorithm": "regular_odd", "d": 5, "n": 1024}
+    unit = TELEMETRY_UNITS[engine]
     bound = resolve(unit["algorithm"])
     reps = 11
     batch = 3
 
     def one_sample(with_recorder: bool) -> float:
         graphs = [_build(unit) for _ in range(batch)]
-        with use_engine("compiled"):
+        with use_engine(engine):
             if with_recorder:
                 with recording():
                     started = time.perf_counter()
@@ -344,8 +292,9 @@ def test_telemetry_overhead_under_5_percent():
     for attempt in range(3):
         median_ratio, ratios = measure()
         emit(
-            f"telemetry overhead regular_odd d=5 n=1024 "
-            f"(median of {reps} pairs of {batch}, attempt {attempt + 1}): "
+            f"telemetry overhead {engine} {unit['algorithm']} "
+            f"d={unit['d']} n={unit['n']} (median of {reps} pairs of "
+            f"{batch}, attempt {attempt + 1}): "
             f"{(median_ratio - 1.0) * 100:+.1f}% "
             f"(spread {min(ratios):.3f}..{max(ratios):.3f})"
         )
@@ -365,11 +314,7 @@ def ledger_entries(payload: dict):
 
     sha = git_sha()
     stamp = time.time()
-    column = {
-        "legacy": "legacy_s",
-        "compiled": "compiled_cold_s",
-        "vector": "vector_cold_s",
-    }
+    column = {"pernode": "pernode_cold_s", "vector": "vector_cold_s"}
     entries = []
     for engine, key in column.items():
         phases = {
@@ -386,7 +331,6 @@ def ledger_entries(payload: dict):
             unit_wall_s=sum(phases.values()),
             units=len(phases),
             reps=payload["reps_best_of"],
-            numpy=payload["vector_available"],
             git_sha=sha,
             recorded_unix=stamp,
             python=platform.python_version(),

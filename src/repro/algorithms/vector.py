@@ -1,34 +1,29 @@
 """Vector-engine kernels for the paper's deterministic algorithms.
 
-Each class is the struct-of-arrays counterpart of one batch program from
-:mod:`repro.algorithms.batch`, plugged into the scheduler through the
+Each class is the struct-of-arrays counterpart of one algorithm's node
+programs, plugged into the scheduler through the
 :class:`~repro.runtime.vector.VectorProgram` protocol: per-node state is
 typed numpy arrays, one round is a handful of whole-graph array ops, and
 the step → participant schedules are precomputed entry arrays grouped by
-step (memoised on the compiled graph under ``vector_*`` keys, separate
-from the batch programs' memo entries so both engines can share one
-graph).
+step (memoised on the compiled graph under ``vector_*`` keys).
 
-The fidelity rules of the batch programs apply unchanged — canonical
+The kernels keep the node programs' observable behaviour — canonical
 send order (ascending node, then the per-node send-mapping order),
 setup messages still sent, per-node schedule arithmetic mirrored — plus
 one vectorisation invariant the schedules guarantee: **each node appears
 at most once per schedule step** (a pair step selects at most one port
 per node, proposal rounds carry one proposal per proposer and group
 replies per responder), so simultaneous array updates are equivalent to
-the batch programs' sequential per-node loops.
-
-This module is only imported when numpy is available (the factories'
-``vector_program`` hooks gate on
-:func:`repro.runtime.vector.vector_available`).
+running the node programs one after another.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.algorithms.base import pair_at
 from repro.exceptions import AlgorithmContractError, SimulationError
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.vector import np
 from repro.runtime.vector import (
     PAYLOAD_ACC,
     PAYLOAD_ALIVE,
@@ -102,9 +97,10 @@ def _label_tables(vg):
     ``vector_label``: ``dn_port[k]`` is the min-port uniquely-labelled
     edge of node ``k`` (−1 when none), and the tag arrays hold every
     ``pair (i, j) → port`` table entry as ``(node, i, j, global port)``
-    rows sorted by ``(node, i, j)`` — the exact content of the batch
-    programs' ``port_for_pair`` dicts, with the same Lemma 2 violation
-    check.
+    rows sorted by ``(node, i, j)`` — the exact content of the node
+    programs' ``port_for_pair`` dicts
+    (:class:`~repro.algorithms.base.LabelAwareProgram`), with the same
+    Lemma 2 violation check.
     """
     cg = vg.cg
     try:
@@ -131,7 +127,7 @@ def _label_tables(vg):
 
     # Tag rows.  A port g is tagged (i, j) when its own end is the
     # distinguishable port (i = local) or its peer end is (pair
-    # reversed) — mirroring BatchLabelAware's two tag sources.
+    # reversed) — mirroring LabelAwareProgram's two tag sources.
     tag_own = dn_port[owner] == local
     tag_peer = dn_port[vg.peer_node] == peer_local
     gids = vg.all_ports
@@ -372,7 +368,7 @@ def _bounded_schedule(vg, delta):
     except KeyError:
         pass
     # step → ("I", pair) | ("II", stage, local) | ("III", local),
-    # identical to the batch schedule (a function of Δ' alone).
+    # identical to the node programs' schedule (a function of Δ' alone).
     schedule: list[tuple] = []
     for step in range(delta * delta):
         schedule.append(("I", pair_at(step, delta)))
@@ -600,7 +596,7 @@ class VectorBoundedDegree(_VectorLabelAware):
         if self.record:
             codes = np.where(acc, PAYLOAD_ACC, PAYLOAD_REJ)
             self.log_sends(tgs, codes, delivered=ok)
-        # responder-side state (the batch program updates at send time)
+        # responder-side state (the node program updates at send time)
         winners = tgs[acc]
         acceptors = tks[acc]
         if self._phase3:
@@ -715,7 +711,7 @@ class VectorGreedyMatchingIds(VectorProgram):
     Nodes halt as soon as they are matched or exhausted, so this kernel
     genuinely exercises the drop accounting of :meth:`deliver`.  Raises
     :class:`OverflowError` when an identifier does not fit int64 — the
-    factory hook turns that into a compiled-engine fallback.
+    factory hook turns that into a pernode-engine fallback.
     """
 
     __slots__ = ("uid", "nid", "proposed", "accepted", "_pending")

@@ -108,7 +108,7 @@ from repro.registry import (
     measure_names,
     resolve,
 )
-from repro.runtime import ENGINES, engines_available, use_engine
+from repro.runtime import ENGINES, use_engine
 
 __all__ = ["main", "build_parser"]
 
@@ -407,9 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument(
         "--engine", choices=ENGINES, default=None,
-        help="simulation engine for the run (default: the scheduler's "
-        "own choice; 'vector' needs the numpy [vector] extra, 'auto' "
-        "falls back to 'compiled' without it)",
+        help="simulation engine for the run (default: vector)",
     )
 
     profile = sub.add_parser(
@@ -585,16 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engines_line() -> str:
-    """One line naming every engine and whether it can run here."""
-    avail = engines_available()
-    parts = [
-        name if ok else f"{name} (unavailable: install repro-eds[vector])"
-        for name, ok in avail.items()
-    ]
-    return "engines: " + ", ".join(parts)
-
-
 def _run_demo(args: argparse.Namespace) -> str:
     if args.family == "regular":
         n = args.n + (args.n * args.d) % 2  # a d-regular graph needs n*d even
@@ -642,7 +630,7 @@ def _run_demo(args: argparse.Namespace) -> str:
         ],
         title="demo run",
     )
-    return f"{table}\n{_engines_line()}"
+    return table
 
 
 def _write_trace_file(
@@ -1002,7 +990,6 @@ def _run_profile(args: argparse.Namespace) -> int:
         ))
     else:
         print(render_report(session, top=args.top, title=title))
-        print(_engines_line())
     if args.trace:
         _write_trace_file(
             args.trace, session,

@@ -6,9 +6,9 @@ say how fast the code is *now*, never whether it got slower.  The
 ledger fixes that: every ``repro-eds perf record`` (and every benchmark
 run with ``--ledger``) appends **one JSON line** to a ledger file
 (default ``PERF_LEDGER.jsonl``) carrying the git SHA, scenario, engine,
-per-phase self-time medians across reps, unit wall time, peak memory
-(when captured), and whether numpy was importable.  Nothing is ever
-rewritten, so the file *is* the performance trajectory.
+per-phase self-time medians across reps, unit wall time and peak
+memory (when captured).  Nothing is ever rewritten, so the file *is*
+the performance trajectory.
 
 ``repro-eds perf compare`` then does noise-aware regression detection:
 for each ``(scenario, engine)`` group the newest entry is compared
@@ -23,7 +23,6 @@ any regression, which is the whole CI gate.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import platform
 import statistics
@@ -81,10 +80,6 @@ def git_sha() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def _numpy_available() -> bool:
-    return importlib.util.find_spec("numpy") is not None
-
-
 @dataclass
 class LedgerEntry:
     """One recorded benchmark run — one line of the ledger."""
@@ -101,7 +96,6 @@ class LedgerEntry:
     #: ``None`` when memory capture was off.
     mem_peak_b: int | None = None
     rss_peak_b: int | None = None
-    numpy: bool = False
     git_sha: str = "unknown"
     recorded_unix: float = 0.0
     python: str = ""
@@ -116,7 +110,6 @@ class LedgerEntry:
             "engine": self.engine,
             "reps": self.reps,
             "units": self.units,
-            "numpy": self.numpy,
             "python": self.python,
             "unit_wall_s": round(self.unit_wall_s, 9),
             "phases": {
@@ -146,7 +139,6 @@ class LedgerEntry:
             reps=int(data.get("reps", 1)),
             mem_peak_b=data.get("mem_peak_b"),
             rss_peak_b=data.get("rss_peak_b"),
-            numpy=bool(data.get("numpy", False)),
             git_sha=str(data.get("git_sha", "unknown")),
             recorded_unix=float(data.get("recorded_unix", 0.0)),
             python=str(data.get("python", "")),
@@ -209,7 +201,6 @@ def entry_from_sessions(
         rss_peak_b=(
             int(statistics.median(rss_samples)) if rss_samples else None
         ),
-        numpy=_numpy_available(),
         git_sha=sha if sha is not None else git_sha(),
         recorded_unix=(
             recorded_unix if recorded_unix is not None else time.time()
@@ -457,11 +448,10 @@ def format_ledger(entries: Sequence[LedgerEntry]) -> str:
             f"{entry.unit_wall_s * 1000:.1f}ms",
             f"{dominant[0]} ({dominant[1] * 1000:.1f}ms)",
             _fmt_mem(entry.mem_peak_b),
-            "yes" if entry.numpy else "no",
         ))
     return format_table(
         ["recorded (UTC)", "sha", "scenario", "engine", "units",
-         "unit wall", "dominant phase", "peak mem", "numpy"],
+         "unit wall", "dominant phase", "peak mem"],
         rows,
         title=f"perf ledger — {len(entries)} run(s)",
     )

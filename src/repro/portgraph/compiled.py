@@ -99,8 +99,8 @@ class CompiledGraph:
             )
         self.mate = array("q", mate_list)
 
-        #: Derived read-only tables keyed by their producer (batch
-        #: programs stash per-algorithm schedules here so repeated runs
+        #: Derived read-only tables keyed by their producer (vector
+        #: kernels stash per-algorithm schedules here so repeated runs
         #: on one graph pay the derivation once, like the compiled form
         #: itself).  Entries must be immutable or never mutated.  The
         #: list forms of ``mate``/``port_node`` are seeded from the
@@ -145,18 +145,12 @@ class CompiledGraph:
         self.port_node = port_node
         # Unlike ``__init__`` there are no construction intermediates to
         # seed ``flat_lists`` from; the list forms materialise lazily on
-        # first use by the compiled per-node loop.
+        # first use.
         self.memo = {}
         return self
 
     def vector(self):
-        """The numpy struct-of-arrays view of this graph, memoised.
-
-        Requires the optional ``[vector]`` extra; callers check
-        :func:`repro.portgraph.vector.numpy_available` first (the
-        vector engine falls back to the compiled loop when numpy is
-        missing).
-        """
+        """The numpy struct-of-arrays view of this graph, memoised."""
         try:
             return self.memo["vector_graph"]
         except KeyError:

@@ -6,34 +6,31 @@ from repro.runtime.algorithm import (
     Message,
     NodeProgram,
 )
-from repro.runtime.batch import ABSENT, BatchProgram
+# The scheduler goes first: it loads ``repro.portgraph``, whose
+# refinement module reaches ``repro.runtime.outputs`` through
+# ``repro.eds``, so ``outputs`` must not be mid-import at that point.
+from repro.runtime.scheduler import (
+    DEFAULT_MAX_ROUNDS,
+    ENGINES,
+    RunResult,
+    run_anonymous,
+    run_identified,
+    use_engine,
+)
 from repro.runtime.outputs import (
     check_consistency,
     decode_edge_set,
     edge_set_to_outputs,
 )
-from repro.runtime.scheduler import (
-    DEFAULT_MAX_ROUNDS,
-    ENGINES,
-    RunResult,
-    engines_available,
-    run_anonymous,
-    run_identified,
-    use_engine,
-)
 from repro.runtime.trace import ExecutionTrace, RoundTrace, SentMessage
-from repro.runtime.vector import VectorProgram, vector_available
+from repro.runtime.vector import VectorProgram
 
 __all__ = [
     "NodeProgram",
     "AnonymousAlgorithm",
     "IdentifiedAlgorithm",
     "Message",
-    "ABSENT",
-    "BatchProgram",
     "VectorProgram",
-    "vector_available",
-    "engines_available",
     "RunResult",
     "run_anonymous",
     "run_identified",

@@ -2,16 +2,12 @@
 
 This is the original pure-Python round loop: per-round inbox dicts for
 every running node, involution lookups through the graph's ``dict[Port,
-Port]``, and per-node ``send``/``receive`` dispatch.  The compiled
-scheduler (:mod:`repro.runtime.scheduler`) replaces it as the default
-execution path; this module survives for two reasons:
-
-* the **differential test suite** (``tests/test_runtime_compiled.py``)
-  asserts the compiled paths are output-, round-, and trace-identical
-  to this reference across the full algorithm × graph-family matrix;
-* the **runtime benchmark** (``benchmarks/bench_runtime_core.py``)
-  reports the legacy-vs-compiled speedup, the repo's core perf
-  trajectory number.
+Port]``, and per-node ``send``/``receive`` dispatch.  The vector and
+pernode engines (:mod:`repro.runtime.scheduler`) replace it as
+execution paths; it survives as the reference of the **differential
+test suite** (``tests/test_runtime_compiled.py``), which asserts both
+are output-, round-, and trace-identical to it across the full
+algorithm × graph-family matrix.
 
 Two deliberate deviations from the historical code, both invisible to
 outputs, round counts, and message totals: sends are collected in the

@@ -20,10 +20,11 @@ from collections.abc import Mapping as MappingABC
 from collections.abc import Set as SetABC
 from typing import Mapping
 
+import numpy as np
+
 from repro.exceptions import InconsistentOutputError
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node, PortEdge
-from repro.portgraph.vector import np
 
 __all__ = [
     "PortMaskEdgeSet",

@@ -15,48 +15,38 @@ outputs, the round count, and (optionally) a full message trace.
 Execution engines
 -----------------
 
-The round loop runs over the graph's **compiled flat-array form**
-(:meth:`~repro.portgraph.graph.PortNumberedGraph.compiled`): routing is
-one read of the flat involution array instead of a tuple-hash dict
-lookup, the delivery order is the graph's own construction order (no
-per-run re-derivation), per-node inbox mappings are preallocated once
-and reused across rounds, and traces are reconstructed from a flat log
-after the run instead of allocating per-round objects.  Five engines
-share the public entry points:
+Three engines share the public entry points:
 
-* ``"compiled"`` (default) — the flat-array loop; algorithms that opt in
-  to the batch-stepping protocol (:mod:`repro.runtime.batch`) advance
-  all nodes in one call per round instead of ``2·n`` dispatches;
-* ``"vector"`` — the numpy struct-of-arrays loop
+* ``"vector"`` (default) — the numpy struct-of-arrays loop
   (:mod:`repro.runtime.vector`): one round is a handful of whole-graph
   array operations, and the solution stays a port mask (see below).
-  Needs the optional ``[vector]`` extra (numpy) —
-  selecting it explicitly without numpy raises
-  :class:`~repro.exceptions.SimulationError`; algorithms without a
-  vector kernel fall back to the compiled engine with a one-time
-  logged notice;
-* ``"auto"`` — ``"vector"`` when numpy and a vector kernel are
-  available, silently ``"compiled"`` otherwise;
-* ``"pernode"`` — the flat-array loop with batch stepping disabled
-  (every algorithm runs through its per-node programs);
+  Algorithms without a vector kernel (the randomised algorithms,
+  ``forest_dds``, ``greedy_mds_line``, plugins) run through their node
+  programs on the ``"pernode"`` loop instead;
+* ``"pernode"`` — the node programs over the graph's **compiled
+  flat-array form**
+  (:meth:`~repro.portgraph.graph.PortNumberedGraph.compiled`): routing
+  is one read of the flat involution array, the delivery order is the
+  graph's own construction order, per-node inbox mappings are
+  preallocated once and reused across rounds, and traces are
+  reconstructed from a flat log after the run;
 * ``"legacy"`` — the original dict-based reference loop
-  (:mod:`repro.runtime.legacy`), kept for differential testing and the
-  runtime benchmark.
+  (:mod:`repro.runtime.legacy`), kept for differential testing.
 
-All engines are observationally identical — same outputs, rounds, and
-traces; ``tests/test_runtime_compiled.py`` enforces this across the full
-algorithm × graph-family matrix.  Pick one per call (``engine=``) or for
-a whole region with :func:`use_engine`.
+``"auto"`` is accepted as a synonym of ``"vector"``.  All engines are
+observationally identical — same outputs, rounds, and traces;
+``tests/test_runtime_compiled.py`` enforces this across the full
+algorithm × graph-family matrix.  Pick one per call (``engine=``) or
+for a whole region with :func:`use_engine`.
 
 Solution types
 --------------
 
-The compiled, batch, pernode and legacy engines return
-``RunResult.outputs`` as a ``dict`` of per-node port sets, and
-:meth:`RunResult.edge_set` decodes it with
-:func:`~repro.runtime.outputs.decode_edge_set`.  The vector engine keeps
-its solution as a **port mask** (``RunResult.port_mask``, one bool per
-global CSR port): ``outputs`` is then a lazy
+The pernode and legacy engines return ``RunResult.outputs`` as a
+``dict`` of per-node port sets, and :meth:`RunResult.edge_set` decodes
+it with :func:`~repro.runtime.outputs.decode_edge_set`.  The vector
+engine keeps its solution as a **port mask** (``RunResult.port_mask``,
+one bool per global CSR port): ``outputs`` is then a lazy
 :class:`~repro.runtime.outputs.PortMaskOutputs` mapping and
 ``edge_set()`` a checked :class:`~repro.runtime.outputs.PortMaskEdgeSet`
 view, equal to the dict and frozenset the other engines give but with
@@ -66,7 +56,6 @@ computed as array operations.
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -81,7 +70,6 @@ from repro.runtime.algorithm import (
     IdentifiedAlgorithm,
     NodeProgram,
 )
-from repro.runtime.batch import BatchProgram
 from repro.runtime.outputs import (
     PortMaskEdgeSet,
     PortMaskOutputs,
@@ -92,19 +80,17 @@ from repro.runtime.trace import ExecutionTrace, trace_from_log
 __all__ = [
     "ENGINES",
     "RunResult",
-    "engines_available",
     "run_anonymous",
     "run_identified",
     "use_engine",
     "DEFAULT_MAX_ROUNDS",
 ]
 
-logger = logging.getLogger(__name__)
-
 DEFAULT_MAX_ROUNDS = 100_000
 
-#: The selectable execution engines (see the module docstring).
-ENGINES = ("compiled", "vector", "auto", "pernode", "legacy")
+#: The selectable execution engines (see the module docstring);
+#: ``"auto"`` is also accepted, as a synonym of ``"vector"``.
+ENGINES = ("vector", "pernode", "legacy")
 
 _engine_override: ContextVar[str | None] = ContextVar(
     "repro_runtime_engine", default=None
@@ -130,8 +116,11 @@ def use_engine(name: str) -> Iterator[None]:
 
 
 def _resolve_engine(engine: str | None) -> str:
+    """The one place that decides which loop runs by default."""
     if engine is None:
-        engine = _engine_override.get() or "compiled"
+        engine = _engine_override.get() or "vector"
+    if engine == "auto":
+        return "vector"
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; available: {ENGINES}"
@@ -170,7 +159,7 @@ def _execute(
     record_trace: bool,
     strict_delivery: bool = False,
 ) -> RunResult:
-    """The compiled per-node round loop.
+    """The pernode round loop over the compiled flat arrays.
 
     Routing runs over the flat arrays of the compiled graph; the only
     per-round allocations are the messages themselves.  Inbox mappings
@@ -292,46 +281,6 @@ def _record_run(rec, rounds: int, delivered: float, dropped: float) -> None:
     rec.annotate(rounds=rounds)
 
 
-def _execute_batch(
-    graph: PortNumberedGraph,
-    batch: BatchProgram,
-    max_rounds: int,
-    record_trace: bool,
-    strict_delivery: bool = False,
-) -> RunResult:
-    """The batch round loop: one :meth:`BatchProgram.step_all` per round."""
-    batch.record = record_trace
-    batch.strict = strict_delivery
-    rec = current_recorder()
-    batch.collect = rec is not None
-    inbox = batch.make_inbox()
-    rounds_log: list | None = [] if record_trace else None
-    rnd = 0
-
-    while batch.num_running:
-        if rnd >= max_rounds:
-            raise RoundLimitExceeded(
-                f"{batch.num_running} node(s) still running after "
-                f"{max_rounds} rounds"
-            )
-        log = batch.step_all(rnd, inbox)
-        if rounds_log is not None:
-            rounds_log.append((log, list(batch.newly_halted)))
-        rnd += 1
-
-    cg = batch.cg
-    outputs: dict[Node, frozenset[int]] = {}
-    for k, v in enumerate(cg.nodes):
-        out = batch.outputs[k]
-        assert out is not None  # loop exits only when all nodes halted
-        outputs[v] = out
-    if rec is not None:
-        _record_run(rec, rnd, batch.delivered, batch.dropped)
-        rec.annotate(batch=True)
-    trace = trace_from_log(cg, rounds_log) if rounds_log is not None else None
-    return RunResult(graph=graph, outputs=outputs, rounds=rnd, trace=trace)
-
-
 def _execute_vector(
     graph: PortNumberedGraph,
     vec,
@@ -377,63 +326,52 @@ def _execute_vector(
     )
 
 
-#: Algorithms already reported as lacking a vector kernel (the
-#: fall-back notice is logged once per algorithm, not per run).
-_vector_fallback_seen: set[str] = set()
-
-
-def engines_available() -> "dict[str, bool]":
-    """Engine name → availability in this environment.
-
-    Everything but ``"vector"`` is always available; ``"vector"`` needs
-    the optional numpy dependency (``"auto"`` is listed available
-    regardless — it silently falls back).  The CLI surfaces this in
-    ``repro-eds demo`` / ``profile``.
-    """
-    from repro.runtime.vector import vector_available
-
-    return {name: name != "vector" or vector_available() for name in ENGINES}
-
-
-def _make_vector_program(algorithm, graph, ids, explicit: bool):
-    """Resolve an algorithm's vector kernel, or ``None`` to fall back.
-
-    Explicitly requesting ``engine="vector"`` without numpy is an
-    actionable error; with numpy but no vector kernel it falls back to
-    the compiled engine with a one-time logged notice.  ``auto`` mode
-    (``explicit=False``) degrades silently on both counts.
-    """
-    from repro.runtime.vector import vector_available
-
-    if not vector_available():
-        if explicit:
-            raise SimulationError(
-                "engine='vector' requires numpy, which is not installed; "
-                "install the optional extra (pip install repro-eds[vector]) "
-                "or use engine='auto' to fall back automatically"
-            )
-        return None
-    hook = getattr(algorithm, "vector_program", None)
-    vec = None
-    if hook is not None:
-        vec = hook(graph) if ids is None else hook(graph, ids)
-    if vec is None and explicit:
-        name = getattr(algorithm, "__name__", None) or type(algorithm).__name__
-        if name not in _vector_fallback_seen:
-            _vector_fallback_seen.add(name)
-            logger.info(
-                "algorithm %s has no vector program; engine='vector' "
-                "falls back to the compiled engine",
-                name,
-            )
-    return vec
-
-
 def _annotate_engine(resolved: str) -> None:
     """Tag the enclosing telemetry span (if any) with the engine name."""
     rec = current_recorder()
     if rec is not None:
         rec.annotate(engine=resolved)
+
+
+def _dispatch(
+    graph: PortNumberedGraph,
+    algorithm,
+    ids: Mapping[Node, int] | None,
+    engine: str | None,
+    max_rounds: int,
+    record_trace: bool,
+    strict_delivery: bool,
+) -> RunResult:
+    """Run *algorithm* on the resolved engine.
+
+    Under ``"vector"`` a factory exposing ``vector_program(graph)``
+    (anonymous) or ``vector_program(graph, ids)`` (identified) is
+    stepped as array ops; a factory without the hook, or whose hook
+    returns ``None``, runs its node programs on the pernode loop.
+    """
+    resolved = _resolve_engine(engine)
+    if resolved == "vector":
+        hook = getattr(algorithm, "vector_program", None)
+        if hook is not None:
+            vec = hook(graph) if ids is None else hook(graph, ids)
+            if vec is not None:
+                _annotate_engine("vector")
+                return _execute_vector(
+                    graph, vec, max_rounds, record_trace, strict_delivery
+                )
+        resolved = "pernode"
+    _annotate_engine(resolved)
+
+    programs: dict[Node, NodeProgram] = {}
+    for v in graph.nodes:
+        degree = graph.degree(v)
+        prog = algorithm(degree) if ids is None else algorithm(degree, ids[v])
+        if degree == 0 and not prog.halted:
+            prog.halt(frozenset())
+        programs[v] = prog
+    return _run_programs(
+        graph, programs, resolved, max_rounds, record_trace, strict_delivery
+    )
 
 
 def _run_programs(
@@ -444,6 +382,7 @@ def _run_programs(
     record_trace: bool,
     strict_delivery: bool,
 ) -> RunResult:
+    """Run built node programs: the legacy loop, else the pernode loop."""
     if engine == "legacy":
         from repro.runtime.legacy import execute_legacy
 
@@ -478,39 +417,11 @@ def run_anonymous(
     user-supplied algorithms.
 
     *engine* selects the scheduler implementation (default
-    ``"compiled"``; see :data:`ENGINES` and :func:`use_engine`).  Under
-    the compiled engine a factory exposing ``batch_program(graph)``
-    (see :mod:`repro.runtime.batch`) is stepped all-nodes-at-once.
+    ``"vector"``; see :data:`ENGINES` and :func:`use_engine`).
     """
-    resolved = _resolve_engine(engine)
-    if resolved in ("vector", "auto"):
-        vec = _make_vector_program(
-            algorithm, graph, None, explicit=resolved == "vector"
-        )
-        if vec is not None:
-            _annotate_engine("vector")
-            return _execute_vector(
-                graph, vec, max_rounds, record_trace, strict_delivery
-            )
-        resolved = "compiled"
-    _annotate_engine(resolved)
-    if resolved == "compiled":
-        make_batch = getattr(algorithm, "batch_program", None)
-        if make_batch is not None:
-            batch = make_batch(graph)
-            if batch is not None:
-                return _execute_batch(
-                    graph, batch, max_rounds, record_trace, strict_delivery
-                )
-
-    programs: dict[Node, NodeProgram] = {}
-    for v in graph.nodes:
-        prog = algorithm(graph.degree(v))
-        if graph.degree(v) == 0 and not prog.halted:
-            prog.halt(frozenset())
-        programs[v] = prog
-    return _run_programs(
-        graph, programs, resolved, max_rounds, record_trace, strict_delivery
+    return _dispatch(
+        graph, algorithm, None, engine, max_rounds, record_trace,
+        strict_delivery,
     )
 
 
@@ -527,43 +438,19 @@ def run_identified(
     """Run an algorithm in the stronger unique-identifier model.
 
     *ids* assigns each node a distinct integer; by default nodes are
-    numbered by their deterministic order in ``graph.nodes``.  This runner
-    exists for baseline comparisons (paper §1.3); the paper's own
-    algorithms never use it.  Batch-capable identified factories expose
-    ``batch_program(graph, ids)``.
+    numbered by their deterministic order in ``graph.nodes``.  Keys
+    that are not graph nodes are ignored.  This runner exists for
+    baseline comparisons (paper §1.3); the paper's own algorithms never
+    use it.
     """
     if ids is None:
         ids = {v: k for k, v in enumerate(graph.nodes)}
-    if len(set(ids.values())) != graph.num_nodes:
-        raise SimulationError("node identifiers must be unique")
-
-    resolved = _resolve_engine(engine)
-    if resolved in ("vector", "auto"):
-        vec = _make_vector_program(
-            algorithm, graph, ids, explicit=resolved == "vector"
-        )
-        if vec is not None:
-            _annotate_engine("vector")
-            return _execute_vector(
-                graph, vec, max_rounds, record_trace, strict_delivery
-            )
-        resolved = "compiled"
-    _annotate_engine(resolved)
-    if resolved == "compiled":
-        make_batch = getattr(algorithm, "batch_program", None)
-        if make_batch is not None:
-            batch = make_batch(graph, ids)
-            if batch is not None:
-                return _execute_batch(
-                    graph, batch, max_rounds, record_trace, strict_delivery
-                )
-
-    programs: dict[Node, NodeProgram] = {}
     for v in graph.nodes:
-        prog = algorithm(graph.degree(v), ids[v])
-        if graph.degree(v) == 0 and not prog.halted:
-            prog.halt(frozenset())
-        programs[v] = prog
-    return _run_programs(
-        graph, programs, resolved, max_rounds, record_trace, strict_delivery
+        if v not in ids:
+            raise SimulationError(f"node {v!r} has no identifier")
+    if len({ids[v] for v in graph.nodes}) != graph.num_nodes:
+        raise SimulationError("node identifiers must be unique")
+    return _dispatch(
+        graph, algorithm, ids, engine, max_rounds, record_trace,
+        strict_delivery,
     )

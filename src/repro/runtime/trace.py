@@ -13,9 +13,10 @@ scheduler's ``strict_delivery`` diagnostics agree on exactly which
 sends those were; :attr:`RoundTrace.delivered_count` /
 :attr:`ExecutionTrace.total_delivered` expose the delivered-only view.
 
-The compiled scheduler does not build these objects inside its round
-loop: it appends compact tuples of global port indices to a flat log and
-reconstructs the trace once, after the run, via :func:`trace_from_log`.
+The pernode and vector engines do not build these objects inside
+their round loops: they log compact tuples of global port indices (or,
+for vector, per-round array slabs) and the trace is reconstructed once,
+after the run, via :func:`trace_from_log`.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def trace_from_log(
 
     *rounds_log* holds one ``(messages, halted)`` pair per round, where
     messages are ``(source_gport, target_gport, payload, dropped)``
-    tuples and halted is a list of node indices.  The compiled
-    schedulers log in this form during the run and materialise the
+    tuples and halted is a list of node indices.  The pernode and
+    vector engines log in this form during the run and materialise the
     object trace here, once, afterwards — per-round allocation stays out
     of the hot loop.
     """

@@ -1,17 +1,18 @@
 """The vector execution engine: whole-graph rounds as numpy array ops.
 
-A :class:`~repro.runtime.batch.BatchProgram` advances all nodes in one
-call per round, but that call still loops over nodes (or schedule
-entries) in Python.  A :class:`VectorProgram` removes the inner loop
-too: per-node state lives in typed numpy arrays (struct-of-arrays),
-messages are gathered through the flat involution with one fancy-index,
-and each round is a handful of whole-graph array operations over a
+The pernode engine pays ``2·n`` method dispatches per round (one
+``send`` and one ``receive`` per running node).  A
+:class:`VectorProgram` advances **all** nodes in one call per round
+with no Python loop over nodes: per-node state lives in typed numpy
+arrays (struct-of-arrays), messages are gathered through the flat
+involution with one fancy-index, and each round is a handful of
+whole-graph array operations over a
 :class:`~repro.portgraph.vector.VectorGraph`.
 
-Observational identity is the contract, exactly as for batch programs:
-same outputs, same round counts, and the same messages in the same
+Observational identity with the node programs is the contract: same
+outputs, same round counts, and the same messages in the same
 canonical order (ascending node index, then the per-node program's send
--mapping order) as the compiled engine — the differential suite holds
+-mapping order) as the pernode engine — the differential suite holds
 every vector kernel to that.
 
 The solution is a **port mask**: ``out_mask`` holds one bool per global
@@ -26,27 +27,20 @@ a trace is requested, each round appends compact **slabs** — the send
 gports plus a payload code and up to two int columns — and
 :meth:`VectorProgram.materialise_log` expands them into the flat
 ``(source, target, payload, dropped)`` log after the run, feeding the
-same :func:`~repro.runtime.trace.trace_from_log` path as the compiled
+same :func:`~repro.runtime.trace.trace_from_log` path as the pernode
 engine.
-
-numpy is optional (the ``[vector]`` extra): this module imports without
-it, and :func:`vector_available` gates every construction site.
 """
 
 from __future__ import annotations
 
 import abc
 
+import numpy as np
+
 from repro.exceptions import SimulationError
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.vector import np, numpy_available
 
-__all__ = ["VectorProgram", "vector_available", "PAYLOADS"]
-
-
-def vector_available() -> bool:
-    """Whether the vector engine can run (numpy importable)."""
-    return numpy_available()
+__all__ = ["VectorProgram", "PAYLOADS"]
 
 
 # -- payload codec ---------------------------------------------------------
@@ -91,7 +85,7 @@ PAYLOADS = tuple(range(13))
 
 
 def _decode(code: int, a, b) -> object:
-    """One slab entry's payload back to the object the batch engine sends."""
+    """One slab entry's payload back to the object the node program sends."""
     if code == PAYLOAD_INT:
         return int(a)
     tag = _BOOL_TAGS.get(code)
@@ -112,13 +106,11 @@ def _decode(code: int, a, b) -> object:
 class VectorProgram(abc.ABC):
     """All nodes of one graph, stepped together as numpy arrays.
 
-    Mirrors the :class:`~repro.runtime.batch.BatchProgram` surface the
-    scheduler reads — ``running``/``num_running``, the
-    ``record``/``strict``/``collect`` flags and the
-    ``delivered``/``dropped`` counters — but ``running`` is a numpy bool
-    array, the outputs are the per-port ``out_mask`` and one
-    :meth:`step_all` is array ops end to end.  ``newly_halted`` is only
-    kept while recording a trace.
+    The scheduler reads ``running`` (a numpy bool array) /
+    ``num_running``, sets the ``record``/``strict``/``collect`` flags
+    and reads the ``delivered``/``dropped`` counters; the outputs are
+    the per-port ``out_mask`` and one :meth:`step_all` is array ops end
+    to end.  ``newly_halted`` is only kept while recording a trace.
 
     Subclasses implement :meth:`_step`; the base class owns the round
     scaffolding, drop/strict accounting (:meth:`deliver`) and the lazy
@@ -189,7 +181,7 @@ class VectorProgram(abc.ABC):
         Returns ``None`` when every send is delivered, else the boolean
         delivered-mask.  Handles message counting, drop counting, and
         ``strict_delivery`` (raising on the first dropped send, exactly
-        like the compiled router).  While no node has halted, nothing
+        like the pernode router).  While no node has halted, nothing
         can drop and the check short-circuits.
         """
         n_sent = len(gports)
@@ -244,7 +236,7 @@ class VectorProgram(abc.ABC):
     # -- lazy trace --------------------------------------------------------
 
     def materialise_log(self):
-        """Expand the per-round slabs into the flat compiled-engine log.
+        """Expand the per-round slabs into the flat pernode-engine log.
 
         Returns ``rounds_log`` in the exact shape
         :func:`~repro.runtime.trace.trace_from_log` consumes:

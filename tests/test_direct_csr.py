@@ -235,6 +235,31 @@ class TestArrayGraphValidation:
         with pytest.raises(PortNumberingError):
             ArrayGraph(nodes, degrees, offsets, mate, port_node)
 
+    def test_rejects_negative_mate(self):
+        nodes, degrees, offsets, mate, port_node = self.arrays_for(cycle(5))
+        mate[3] = -1
+        with pytest.raises(InvolutionError, match="out of range"):
+            ArrayGraph(nodes, degrees, offsets, mate, port_node)
+
+    def test_rejects_port_count_mismatch(self):
+        nodes, degrees, offsets, mate, port_node = self.arrays_for(cycle(5))
+        with pytest.raises(PortNumberingError, match="expected 10 ports"):
+            ArrayGraph(nodes, degrees, offsets, mate[:-1], port_node)
+        with pytest.raises(PortNumberingError, match="expected 10 ports"):
+            ArrayGraph(nodes, degrees, offsets, mate, port_node[:-1])
+
+    def test_rejects_csr_shape_mismatch(self):
+        nodes, degrees, offsets, mate, port_node = self.arrays_for(cycle(5))
+        with pytest.raises(PortNumberingError, match="shape mismatch"):
+            ArrayGraph(nodes, degrees[:-1], offsets, mate, port_node)
+        with pytest.raises(PortNumberingError, match="shape mismatch"):
+            ArrayGraph(nodes, degrees, offsets[:-1], mate, port_node)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(PortNumberingError, match="negative degree"):
+            ArrayGraph((0, 1), (-1, 1), array("q", [0, -1, 0]),
+                       array("q"), array("q"))
+
 
 class TestArrayGraphDegenerate:
     def test_empty_graph(self):
@@ -262,6 +287,14 @@ class TestArrayGraphDegenerate:
         (edge,) = loop.edges
         assert edge.endpoints == frozenset({5})
         assert loop.connection(5, 1) == (5, 1)
+
+    def test_undirected_loop(self):
+        # One node whose two ports are paired with each other: a loop
+        # edge on two ports, so one edge and not simple.
+        loop = ArrayGraph((0,), (2,), array("q", [0, 2]),
+                          array("q", [1, 0]), array("q", [0, 0]))
+        assert loop.num_edges == 1
+        assert not loop.is_simple()
 
     def test_two_node_multigraph(self):
         # Double edge between two nodes: valid arrays, not simple.

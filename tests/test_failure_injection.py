@@ -25,14 +25,11 @@ from repro.runtime import (
     NodeProgram,
     run_anonymous,
     use_engine,
-    vector_available,
 )
 from repro.runtime.outputs import decode_edge_set
 
-
-def _skip_unless_runnable(engine: str) -> None:
-    if engine == "vector" and not vector_available():
-        pytest.skip("numpy not installed")
+#: Every accepted engine name, the ``auto`` synonym included.
+ENGINE_NAMES = (*ENGINES, "auto")
 
 
 class SendsOnBadPort(NodeProgram):
@@ -139,11 +136,10 @@ class TestDeliveryTelemetry:
     """Dropped sends are legal but must be observable (SentMessage.dropped
     end-to-end: trace label, strict-mode error, and runtime counters)."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_delivered_and_dropped_counted(self, engine):
         # path 0-1-2: round 0 delivers 4 messages everywhere; rounds 1-2
         # the middle node broadcasts 2 messages each to halted leaves.
-        _skip_unless_runnable(engine)
         graph = from_networkx(nx.path_graph(3))
         with recording() as rec:
             with use_engine(engine):
@@ -154,10 +150,9 @@ class TestDeliveryTelemetry:
         assert rec.counters["runtime.messages.delivered"] == 4
         assert rec.counters["runtime.messages.dropped"] == 4
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_counters_match_trace_labels(self, engine):
         """The counters agree with the ground truth in the full trace."""
-        _skip_unless_runnable(engine)
         graph = from_networkx(nx.path_graph(3))
         with recording() as rec:
             with use_engine(engine):
@@ -172,9 +167,8 @@ class TestDeliveryTelemetry:
         assert rec.counters["runtime.messages.delivered"] == delivered
         assert rec.counters["runtime.messages.dropped"] == dropped
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_strict_delivery_rejects_the_same_run(self, engine):
-        _skip_unless_runnable(engine)
         graph = from_networkx(nx.path_graph(3))
         with use_engine(engine):
             with pytest.raises(SimulationError, match="halted"):

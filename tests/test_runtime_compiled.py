@@ -1,7 +1,7 @@
-"""Differential tests: the compiled scheduler against the legacy reference.
+"""Differential tests: the scheduler engines against the legacy reference.
 
-The compiled flat-array round loop (and the batch-stepping programs
-layered on it) must be *observationally identical* to the legacy
+The vector kernels and the pernode loop (node programs over the compiled
+flat arrays) must be *observationally identical* to the legacy
 dict-based scheduler: same outputs, same round counts, and the same
 full message traces.  This suite asserts exactly that across every
 registered simulator-driven algorithm × every plain graph family at two
@@ -28,7 +28,6 @@ from repro.runtime import (
     NodeProgram,
     run_anonymous,
     use_engine,
-    vector_available,
 )
 from repro.runtime.scheduler import _resolve_engine
 
@@ -80,13 +79,12 @@ def build(family: str, params: dict):
 
 def candidate_engines() -> list[str]:
     """Every engine the differential matrix must hold against the
-    legacy reference.  ``vector`` joins only when numpy is installed —
-    the no-numpy CI job runs the same suite and must stay green
-    (``auto`` is always testable: it degrades to ``compiled``)."""
-    engines = ["compiled", "pernode", "auto"]
-    if vector_available():
-        engines.insert(1, "vector")
-    return engines
+    legacy reference (``auto`` is the synonym of ``vector``)."""
+    return ["vector", "pernode", "auto"]
+
+
+#: Every accepted engine name, the ``auto`` synonym included.
+ENGINE_NAMES = (*ENGINES, "auto")
 
 
 def traced_run(name: str, graph, engine: str):
@@ -126,7 +124,7 @@ class TestMatrixCoverage:
 @pytest.mark.parametrize("family", sorted(FAMILY_INSTANCES))
 @pytest.mark.parametrize("which", [0, 1])
 def test_differential_full_matrix(family: str, which: int):
-    """Compiled (and batch) runs equal the legacy reference everywhere."""
+    """Vector and pernode runs equal the legacy reference everywhere."""
     graph = build(family, FAMILY_INSTANCES[family][which])
     for name in simulated_algorithms():
         reference = traced_run(name, graph, "legacy")
@@ -213,22 +211,36 @@ class _ChattyLeafHalter(NodeProgram):
 
 class TestEngineSelection:
     def test_engines_tuple(self):
-        assert ENGINES == ("compiled", "vector", "auto", "pernode", "legacy")
+        assert ENGINES == ("vector", "pernode", "legacy")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             _resolve_engine("vectorised")
 
+    def test_compiled_engine_rejected_with_available_list(self):
+        with pytest.raises(ValueError) as excinfo:
+            run_anonymous(build("cycle", {"n": 5}), _NeverSends,
+                          engine="compiled")
+        assert str(("vector", "pernode", "legacy")) in str(excinfo.value)
+        with pytest.raises(ValueError, match="unknown engine"):
+            with use_engine("compiled"):
+                pass
+
     def test_use_engine_restores(self):
-        assert _resolve_engine(None) == "compiled"
+        assert _resolve_engine(None) == "vector"
         with use_engine("legacy"):
             assert _resolve_engine(None) == "legacy"
-        assert _resolve_engine(None) == "compiled"
+        assert _resolve_engine(None) == "vector"
+
+    def test_auto_is_vector(self):
+        assert _resolve_engine("auto") == "vector"
+        with use_engine("auto"):
+            assert _resolve_engine(None) == "vector"
 
     def test_explicit_engine_beats_override(self, triangle):
         with use_engine("legacy"):
             result = run_anonymous(
-                triangle, _NeverSends, engine="compiled", record_trace=True
+                triangle, _NeverSends, engine="pernode", record_trace=True
             )
         assert result.rounds == 1
 
@@ -243,10 +255,8 @@ class TestDroppedSends:
             builder.connect("hub", i, leaf, 1)
         return builder.build()
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_dropped_flagged_consistently(self, engine: str):
-        if engine == "vector" and not vector_available():
-            pytest.skip("numpy not installed")
         result = run_anonymous(
             self._star(), _ChattyLeafHalter,
             record_trace=True, engine=engine,
@@ -270,22 +280,20 @@ class TestDroppedSends:
         assert result.trace.total_dropped == 0
         assert "dropped" not in result.trace.summary()
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_strict_delivery_raises_on_every_engine(self, engine: str):
         from repro.exceptions import SimulationError
 
-        if engine == "vector" and not vector_available():
-            pytest.skip("numpy not installed")
         with pytest.raises(SimulationError, match="sent to halted node"):
             run_anonymous(
                 self._star(), _ChattyLeafHalter,
                 strict_delivery=True, engine=engine,
             )
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_strict_delivery_batch_path(self, engine: str):
-        """ids_greedy halts nodes at different times, so its *batch*
-        routing (not just the per-node fallback) must honour strict
+        """ids_greedy halts nodes at different times, so its whole-graph
+        vector kernel (not just the per-node loop) must honour strict
         delivery with the same error shape as the reference."""
         from repro.algorithms.maximal_matching_ids import (
             GreedyMaximalMatchingIds,
@@ -293,14 +301,50 @@ class TestDroppedSends:
         from repro.exceptions import SimulationError
         from repro.runtime import run_identified
 
-        if engine == "vector" and not vector_available():
-            pytest.skip("numpy not installed")
         graph = build("regular", {"d": 3, "n": 8})
         with pytest.raises(SimulationError, match="sent to halted node"):
             run_identified(
                 graph, GreedyMaximalMatchingIds,
                 strict_delivery=True, engine=engine,
             )
+
+
+class TestIdentifierCoverage:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_ids_missing_a_node_rejected(self, engine: str):
+        """A mapping with as many distinct values as nodes but a foreign
+        key in place of a graph node is rejected by name, not with a
+        bare ``KeyError`` mid-run."""
+        from repro.algorithms.maximal_matching_ids import (
+            GreedyMaximalMatchingIds,
+        )
+        from repro.exceptions import SimulationError
+        from repro.runtime import run_identified
+
+        graph = build("cycle", {"n": 6})
+        nodes = list(graph.nodes)
+        ids = {v: k for k, v in enumerate(nodes[:5])}
+        ids["ghost"] = 5
+        with pytest.raises(SimulationError, match=repr(nodes[5])):
+            run_identified(
+                graph, GreedyMaximalMatchingIds, ids=ids, engine=engine
+            )
+
+    def test_extra_id_keys_ignored(self):
+        """Only the graph's nodes need distinct identifiers; a key that
+        is not a graph node does not take part."""
+        from repro.algorithms.maximal_matching_ids import (
+            GreedyMaximalMatchingIds,
+        )
+        from repro.runtime import run_identified
+
+        graph = build("cycle", {"n": 6})
+        ids = {v: k for k, v in enumerate(graph.nodes)}
+        plain = run_identified(graph, GreedyMaximalMatchingIds, ids=ids)
+        ids["ghost"] = 0
+        extra = run_identified(graph, GreedyMaximalMatchingIds, ids=ids)
+        assert extra.outputs == plain.outputs
+        assert extra.rounds == plain.rounds
 
 
 class TestCacheStability:
@@ -325,12 +369,18 @@ class TestCacheStability:
         """Cache keys and record bytes are engine-independent: the same
         units recomputed under the vector engine reproduce the
         pre-refactor records bit for bit."""
-        if not vector_available():
-            pytest.skip("numpy not installed")
         with use_engine("vector"):
             for entry in self.fixture_entries():
                 spec = JobSpec.from_json_dict(entry["spec"])
                 assert cache_key(spec) == entry["key"]
+                assert execute_unit(spec).to_json_dict() == entry["record"]
+
+    def test_records_reproduced_with_pernode_engine(self):
+        """The node programs (the path of algorithms without a vector
+        kernel) reproduce the same records bit for bit."""
+        with use_engine("pernode"):
+            for entry in self.fixture_entries():
+                spec = JobSpec.from_json_dict(entry["spec"])
                 assert execute_unit(spec).to_json_dict() == entry["record"]
 
     def test_pre_refactor_cache_entry_hits(self, tmp_path):

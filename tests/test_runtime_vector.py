@@ -1,15 +1,14 @@
-"""The numpy vector engine: selection, fallback, and degradation.
+"""The numpy vector engine: selection, fallback, and plumbing.
 
-Observational identity with the compiled engine is enforced by the
-differential matrix in ``test_runtime_compiled.py`` (which includes
-``vector`` whenever numpy is installed).  This module covers what the
-matrix cannot: the engine-selection contract — ``auto`` degrading
-silently, explicit ``vector`` raising without numpy, the one-time
-fallback notice for algorithms without a vector kernel — plus the
-vector-specific plumbing (memoised :class:`VectorGraph` views, lazy
-trace slabs, telemetry annotations) and the port-mask solution type,
-differentially against the compiled engine on random port numberings.
-Everything here runs (or explicitly skips) on the no-numpy CI job too.
+Observational identity with the node programs is enforced by the
+differential matrix in ``test_runtime_compiled.py``.  This module covers
+what the matrix cannot: the engine-selection contract — ``vector`` the
+default, ``auto`` its synonym, algorithms without a vector kernel
+running their node programs on the pernode loop (the node programs over
+the compiled flat arrays) without a log line — plus the vector-specific
+plumbing (memoised :class:`VectorGraph` views, lazy trace slabs,
+telemetry annotations) and the port-mask solution type, differentially
+against the pernode engine on random port numberings, traces included.
 """
 
 from __future__ import annotations
@@ -38,18 +37,11 @@ from repro.runtime import (
     NodeProgram,
     check_consistency,
     decode_edge_set,
-    engines_available,
     run_anonymous,
     run_identified,
     use_engine,
-    vector_available,
 )
-from repro.runtime import scheduler as scheduler_module
 from repro.runtime.outputs import PortMaskOutputs
-
-needs_numpy = pytest.mark.skipif(
-    not vector_available(), reason="numpy not installed"
-)
 
 
 def small_regular():
@@ -57,7 +49,7 @@ def small_regular():
 
 
 class _NoVectorKernel(NodeProgram):
-    """A per-node program with no batch or vector opt-in."""
+    """A per-node program with no vector opt-in."""
 
     def send(self, rnd):
         return {}
@@ -66,27 +58,7 @@ class _NoVectorKernel(NodeProgram):
         self.halt()
 
 
-@pytest.fixture
-def clear_fallback_notices():
-    scheduler_module._vector_fallback_seen.clear()
-    yield
-    scheduler_module._vector_fallback_seen.clear()
-
-
-class TestEnginesAvailable:
-    def test_reports_every_engine(self):
-        avail = engines_available()
-        assert set(avail) == {
-            "compiled", "vector", "auto", "pernode", "legacy"
-        }
-        assert all(avail[name] for name in avail if name != "vector")
-
-    def test_vector_availability_matches_probe(self):
-        assert engines_available()["vector"] == vector_available()
-
-
 class TestSelectionContract:
-    @needs_numpy
     def test_explicit_vector_runs_vector(self):
         from repro.algorithms.port_one import PortOneEDS
         from repro.obs import recording
@@ -95,7 +67,16 @@ class TestSelectionContract:
             run_anonymous(small_regular(), PortOneEDS, engine="vector")
         assert rec.counters.get("runtime.vector.runs") == 1
 
-    @needs_numpy
+    def test_default_is_vector(self):
+        from repro.obs import recording
+        from repro.obs.spans import span
+
+        with recording() as rec:
+            with span("simulate"):
+                run_anonymous(small_regular(), PortOneEDS)
+        assert rec.counters.get("runtime.vector.runs") == 1
+        assert rec.spans[0].attrs["engine"] == "vector"
+
     def test_auto_prefers_vector(self):
         from repro.algorithms.port_one import PortOneEDS
         from repro.obs import recording
@@ -106,78 +87,29 @@ class TestSelectionContract:
         assert rec.counters.get("runtime.vector.runs") == 1
 
     def test_auto_without_kernel_runs_compiled(self):
+        """No kernel: the node programs run on the pernode loop, and the
+        telemetry span says so."""
         from repro.obs import recording
+        from repro.obs.spans import span
 
         with recording() as rec:
-            result = run_anonymous(
-                small_regular(), _NoVectorKernel, engine="auto"
-            )
+            with span("simulate"):
+                result = run_anonymous(
+                    small_regular(), _NoVectorKernel, engine="auto"
+                )
         assert result.rounds == 1
         assert "runtime.vector.runs" not in rec.counters
+        assert rec.spans[0].attrs["engine"] == "pernode"
 
-    def test_fallback_notice_logged_once(self, caplog,
-                                         clear_fallback_notices):
-        """Explicit ``vector`` without a vector kernel degrades to the
-        compiled engine with a single logged notice per algorithm."""
-        if not vector_available():
-            pytest.skip("numpy not installed")
-        with caplog.at_level(logging.INFO, logger="repro.runtime.scheduler"):
-            run_anonymous(small_regular(), _NoVectorKernel, engine="vector")
-            run_anonymous(small_regular(), _NoVectorKernel, engine="vector")
-        notices = [
-            rec for rec in caplog.records
-            if "falls back to the compiled engine" in rec.getMessage()
-        ]
-        assert len(notices) == 1
-
-    def test_auto_fallback_is_silent(self, caplog, clear_fallback_notices):
-        with caplog.at_level(logging.INFO, logger="repro.runtime.scheduler"):
-            run_anonymous(small_regular(), _NoVectorKernel, engine="auto")
-        assert not [
-            rec for rec in caplog.records
-            if "falls back" in rec.getMessage()
-        ]
-
-
-class TestWithoutNumpy:
-    """The degradation paths, exercised by faking numpy's absence."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        import repro.portgraph.vector as pv
-
-        monkeypatch.setattr(pv, "np", None)
-        yield
-
-    def test_explicit_vector_raises_actionable_error(self, no_numpy):
-        from repro.algorithms.port_one import PortOneEDS
-
-        with pytest.raises(SimulationError, match=r"repro-eds\[vector\]"):
-            run_anonymous(small_regular(), PortOneEDS, engine="vector")
-
-    def test_auto_falls_back_silently(self, no_numpy, caplog):
-        from repro.algorithms.port_one import PortOneEDS
-
-        assert not vector_available()
-        with caplog.at_level(logging.INFO, logger="repro.runtime.scheduler"):
-            result = run_anonymous(
-                small_regular(), PortOneEDS, engine="auto",
-            )
-        assert result.rounds == 1
+    def test_auto_fallback_is_silent(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.runtime"):
+            for engine in ("vector", "auto"):
+                run_anonymous(
+                    small_regular(), _NoVectorKernel, engine=engine
+                )
         assert not caplog.records
 
-    def test_engines_available_reports_missing(self, no_numpy):
-        assert engines_available()["vector"] is False
 
-    def test_identified_explicit_vector_raises(self, no_numpy):
-        graph = get_family("regular").make({"d": 3, "n": 8}, 7)
-        with pytest.raises(SimulationError, match="requires numpy"):
-            run_identified(
-                graph, GreedyMaximalMatchingIds, engine="vector"
-            )
-
-
-@needs_numpy
 class TestVectorGraphView:
     def test_memoised_on_compiled_graph(self):
         graph = small_regular()
@@ -224,7 +156,6 @@ class TestVectorGraphView:
         assert list(out) == [99, 7, 4, 99]
 
 
-@needs_numpy
 class TestLazyTraces:
     def test_trace_only_materialised_on_request(self):
         """Without ``record_trace`` the vector run keeps no slabs."""
@@ -240,11 +171,12 @@ class TestLazyTraces:
         assert vec._halted_log == []
 
     def test_slabs_expand_to_compiled_trace(self):
+        """The slabs expand to the pernode loop's trace."""
         from repro.algorithms.regular_odd import RegularOddEDS
 
         graph = small_regular()
         compiled = run_anonymous(
-            graph, RegularOddEDS, engine="compiled", record_trace=True
+            graph, RegularOddEDS, engine="pernode", record_trace=True
         )
         vector = run_anonymous(
             graph, RegularOddEDS, engine="vector", record_trace=True
@@ -252,11 +184,10 @@ class TestLazyTraces:
         assert vector.trace == compiled.trace
 
 
-@needs_numpy
 class TestIdOverflow:
     def test_oversized_ids_fall_back(self):
         """Identifiers beyond int64 cannot enter the id arrays; the
-        hook declines and the run degrades to the compiled engine."""
+        hook declines and the run degrades to the pernode engine."""
         graph = get_family("regular").make({"d": 3, "n": 8}, 7)
         huge = {v: 2 ** 70 + i for i, v in enumerate(graph.nodes)}
         assert GreedyMaximalMatchingIds.vector_program(graph, huge) is None
@@ -264,7 +195,7 @@ class TestIdOverflow:
             graph, GreedyMaximalMatchingIds, ids=huge, engine="auto"
         )
         reference = run_identified(
-            graph, GreedyMaximalMatchingIds, ids=huge, engine="compiled"
+            graph, GreedyMaximalMatchingIds, ids=huge, engine="pernode"
         )
         assert with_ids.outputs == reference.outputs
         assert with_ids.rounds == reference.rounds
@@ -297,7 +228,8 @@ def _run(kernel: str, graph, engine: str):
     # matching: both engines hit the round limit, kept small here.
     if kernel == "ids_greedy":
         return run_identified(
-            graph, GreedyMaximalMatchingIds, engine=engine, max_rounds=200
+            graph, GreedyMaximalMatchingIds, engine=engine, max_rounds=200,
+            record_trace=True,
         )
     delta = max(graph.max_degree, 1)
     algorithm = {
@@ -307,7 +239,7 @@ def _run(kernel: str, graph, engine: str):
         "all_edges": BoundedDegreeEDS(1),
         "double_cover": DominatingTwoMatching(delta),
     }[kernel]
-    return run_anonymous(graph, algorithm, engine=engine)
+    return run_anonymous(graph, algorithm, engine=engine, record_trace=True)
 
 
 #: Every vector kernel, with the largest degree its generated graphs get
@@ -322,10 +254,10 @@ KERNELS = {
 }
 
 
-@needs_numpy
 class TestPortMaskDifferential:
-    """The vector engine's port mask against the compiled engine's dict
-    outputs, on random port numberings."""
+    """The vector engine's port mask and trace against the pernode
+    engine (the node programs over the compiled flat arrays), on random
+    port numberings."""
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_mask_matches_compiled(self, kernel):
@@ -333,7 +265,7 @@ class TestPortMaskDifferential:
         @given(port_numberings(KERNELS[kernel]))
         def check(graph):
             try:
-                compiled = _run(kernel, graph, "compiled")
+                compiled = _run(kernel, graph, "pernode")
             except SimulationError as exc:
                 with pytest.raises(type(exc)):
                     _run(kernel, graph, "vector")
@@ -342,6 +274,7 @@ class TestPortMaskDifferential:
             assert vector.port_mask is not None
             assert vector.outputs == compiled.outputs
             assert vector.rounds == compiled.rounds
+            assert vector.trace == compiled.trace
 
             reference = decode_edge_set(graph, compiled.outputs)
             view = vector.edge_set()
@@ -357,7 +290,6 @@ class TestPortMaskDifferential:
         check()
 
 
-@needs_numpy
 class TestPortMaskView:
     def _vector_run(self):
         graph = get_family("regular").make({"d": 3, "n": 10}, 7)
