@@ -35,19 +35,30 @@ from conftest import emit
 #: sizes E20/E21 care about.  Blossom is only timed where it finishes
 #: in seconds (n=4096); at n=16384 the sandwich runs alone and the row
 #: records the absolute cost of the certified interval at full scale.
+#: The ``pairing_regular`` row is the ``huge-regular`` shape, where the
+#: array kernels carry the sandwich.
 UNITS = (
     {"d": 2, "n": 4096, "blossom": True},
     {"d": 4, "n": 4096, "blossom": True},
     {"d": 8, "n": 4096, "blossom": True},
     {"d": 2, "n": 16384, "blossom": False},
     {"d": 8, "n": 16384, "blossom": False},
+    {"family": "pairing_regular", "d": 4, "n": 131072, "blossom": False},
 )
 
 REPS = 3
 
 
+def _family(unit) -> str:
+    return unit.get("family", "regular")
+
+
 def _build(unit):
-    return get_family("regular").make({"d": unit["d"], "n": unit["n"]}, 1)
+    return get_family(_family(unit)).make({"d": unit["d"], "n": unit["n"]}, 1)
+
+
+def _label(row) -> str:
+    return f"{_family(row)} d={row['d']} n={row['n']}"
 
 
 def _time_sandwich(graph) -> tuple[float, object]:
@@ -89,6 +100,8 @@ def measure_units() -> dict:
             "gap": result.gap,
             "sandwich_s": round(sandwich_s, 6),
         }
+        if "family" in unit:
+            row["family"] = unit["family"]
         if unit["blossom"]:
             blossom_s, nu = _time_blossom(graph)
             assert result.lower <= nu <= result.upper, unit
@@ -115,11 +128,11 @@ def format_table(payload: dict) -> str:
     lines = [
         "certified bounds: ν-sandwich + verify vs blossom (best of "
         f"{payload['reps_best_of']})",
-        f"{'unit':22s} {'sandwich':>9s} {'blossom':>9s} {'speedup':>8s} "
-        f"{'ν interval':>14s} {'gap':>5s}",
+        f"{'unit':32s} {'sandwich':>9s} {'blossom':>9s} {'speedup':>8s} "
+        f"{'ν interval':>16s} {'gap':>5s}",
     ]
     for row in payload["units"]:
-        label = f"regular d={row['d']} n={row['n']}"
+        label = _label(row)
         blossom = (
             f"{row['blossom_s'] * 1000:7.1f}ms" if "blossom_s" in row
             else f"{'—':>9s}"
@@ -129,8 +142,8 @@ def format_table(payload: dict) -> str:
         )
         interval = f"[{row['nu_lower']}, {row['nu_upper']}]"
         lines.append(
-            f"{label:22s} {row['sandwich_s'] * 1000:7.1f}ms {blossom} "
-            f"{speedup} {interval:>14s} {row['gap']:5d}"
+            f"{label:32s} {row['sandwich_s'] * 1000:7.1f}ms {blossom} "
+            f"{speedup} {interval:>16s} {row['gap']:5d}"
         )
     summary = payload["summary"]
     lines.append(
@@ -191,7 +204,7 @@ def ledger_entries(payload: dict):
     entries = []
     for engine, key in (("sandwich", "sandwich_s"), ("blossom", "blossom_s")):
         phases = {
-            f"regular d={row['d']} n={row['n']}": row[key]
+            _label(row): row[key]
             for row in payload["units"]
             if row.get(key) is not None
         }

@@ -5,10 +5,10 @@ Three engines behind one :class:`~repro.bounds.result.BoundResult`
 protocol:
 
 * :mod:`~repro.bounds.primal` — greedy maximal matching plus
-  bounded-depth augmenting search: ``|M| <= ν``, seconds at n = 16384;
+  bounded-depth augmenting search: ``|M| <= ν``;
 * :mod:`~repro.bounds.dual` — a feasible fractional vertex cover from
   the shared multiplicative-weights loop: ``ν <= ⌊Σy⌋`` by weak LP
-  duality, verified edge-by-edge in exact arithmetic;
+  duality, verified in exact integer arithmetic;
 * :mod:`~repro.bounds.exact` — the blossom matching (memoised), the
   zero-width bracket for sizes where minutes per unit are acceptable.
 
@@ -30,15 +30,18 @@ from repro.bounds.primal import primal_bound, primal_matching
 from repro.bounds.result import (
     BoundResult,
     CoverCertificate,
+    CoverValues,
     MatchingCertificate,
     SandwichCertificate,
     verify_certificate,
 )
+from repro.obs.spans import span
 from repro.portgraph.graph import PortNumberedGraph
 
 __all__ = [
     "BoundResult",
     "CoverCertificate",
+    "CoverValues",
     "DUAL_BOUND_EDGE_LIMIT",
     "MatchingCertificate",
     "SandwichCertificate",
@@ -72,11 +75,14 @@ def nu_sandwich(
     The primal matching feeds the dual's matching-cover candidate, so
     the upper bound is always at least as tight as the classical
     ``2 |M|``; the certificate carries both halves for independent
-    re-verification.
+    re-verification.  Each half runs under its own telemetry span
+    (``optimum:primal``, ``optimum:dual``).
     """
     graph.require_simple()
-    matching = primal_matching(graph, seed=seed)
-    cover = fractional_vertex_cover(graph, matching)
+    with span("optimum:primal"):
+        matching = primal_matching(graph, seed=seed)
+    with span("optimum:dual"):
+        cover = fractional_vertex_cover(graph, matching)
     lower = len(matching)
     upper = min(cover.bound, 2 * lower)
     certificate = SandwichCertificate(

@@ -6,12 +6,14 @@ charges at least 1 of cover mass per edge to distinct vertices, so
 ``ν <= Σy`` — and since ν is an integer, ``ν <= ⌊Σy⌋``.  The bound is
 *certified*: the cover itself is returned and
 :func:`repro.bounds.result.verify_certificate` re-checks feasibility
-edge by edge in exact arithmetic.
+on every edge in exact integer arithmetic.  Both candidates below are
+built on the compiled CSR arrays as integer numerators over one
+denominator (:class:`~repro.bounds.result.CoverValues`).
 
 Two candidate covers are built and the smaller objective wins:
 
 * the multiplicative-weights solve of the vertex cover LP via the
-  shared :func:`repro.bounds.fractional.solve_covering_lp` loop
+  shared :func:`repro.bounds.fractional.covering_numerators` loop
   (constraint width 2, so two phases from ``y = 1/4``); on
   edge-transitive instances this lands on the canonical uniform-half
   cover ``Σy = n'/2`` over non-isolated vertices;
@@ -26,58 +28,70 @@ Two candidate covers are built and the smaller objective wins:
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import AbstractSet
 
-from repro.bounds.fractional import solve_covering_lp
+import numpy as np
+
+from repro.bounds.fractional import covering_numerators
 from repro.bounds.primal import primal_matching
-from repro.bounds.result import BoundResult, CoverCertificate
+from repro.bounds.result import (
+    BoundResult,
+    CoverCertificate,
+    CoverValues,
+    matching_mask,
+)
+from repro.eds.properties import undominated_ports
 from repro.exceptions import CertificateError
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.ports import Node, PortEdge
+from repro.portgraph.ports import PortEdge
 
 __all__ = ["dual_bound", "fractional_vertex_cover", "matching_cover"]
 
 
 def _mw_cover(graph: PortNumberedGraph) -> CoverCertificate:
-    """The MW solve of the vertex cover LP (width-2 constraints)."""
-    nodes = [n for n in graph.nodes if graph.degree(n) > 0]
-    index = {n: i for i, n in enumerate(nodes)}
-    constraints = [(index[e.u], index[e.v]) for e in graph.edges]
-    values = solve_covering_lp(
-        len(nodes), constraints, start=Fraction(1, 4), phases=2
+    """The MW solve of the vertex cover LP (width-2 constraints, one
+    per edge); isolated nodes carry no constraint and get ``y = 0``."""
+    cg = graph.compiled()
+    vg = cg.vector()
+    lo = vg.lower_ports
+    members = np.stack([vg.port_node[lo], vg.peer_node[lo]], axis=1)
+    start = Fraction(1, 4)
+    numerators = covering_numerators(
+        vg.num_nodes, members.reshape(-1), np.full(len(lo), 2),
+        start=start, phases=2,
     )
+    numerators[vg.degrees == 0] = 0
     return CoverCertificate(
-        values={n: values[i] for n, i in index.items()}
+        values=CoverValues(cg, numerators, start.denominator)
     )
 
 
 def matching_cover(
-    graph: PortNumberedGraph, matching: frozenset[PortEdge]
+    graph: PortNumberedGraph, matching: AbstractSet[PortEdge]
 ) -> CoverCertificate:
-    """The cover induced by a *maximal* matching (see module docstring)."""
-    matched: set[Node] = set()
-    for e in matching:
-        matched.add(e.u)
-        matched.add(e.v)
-    raised: set[Node] = set()
-    for e in graph.edges:
-        in_u, in_v = e.u in matched, e.v in matched
-        if not in_u and not in_v:
-            raise CertificateError(
-                f"matching is not maximal: edge {e!r} is uncovered"
-            )
-        if in_u and not in_v:
-            raised.add(e.u)
-        elif in_v and not in_u:
-            raised.add(e.v)
-    half, one = Fraction(1, 2), Fraction(1)
-    return CoverCertificate(
-        values={n: (one if n in raised else half) for n in matched}
-    )
+    """The cover induced by a *maximal* matching (see module docstring):
+    ``y`` in halves, 1 on every matched node plus 1 on every matched
+    node with an unmatched neighbour."""
+    cg = graph.compiled()
+    vg = cg.vector()
+    mask = matching_mask(cg, matching)
+    missed = undominated_ports(vg, mask)
+    if missed.size:
+        raise CertificateError(
+            f"matching is not maximal: edge {cg.edge(int(missed[0]))!r} "
+            "is uncovered"
+        )
+    matched = np.zeros(vg.num_nodes, dtype=bool)
+    matched[vg.port_node[mask]] = True
+    raised = np.zeros(vg.num_nodes, dtype=bool)
+    raised[vg.port_node[matched[vg.port_node] & ~matched[vg.peer_node]]] = True
+    halves = matched.astype(np.int64) + raised
+    return CoverCertificate(values=CoverValues(cg, halves, 2))
 
 
 def fractional_vertex_cover(
     graph: PortNumberedGraph,
-    matching: frozenset[PortEdge] | None = None,
+    matching: AbstractSet[PortEdge] | None = None,
 ) -> CoverCertificate:
     """The better of the two candidate covers (smaller ``⌊Σy⌋``; the
     matching cover wins ties — its values are the sparser set)."""
@@ -91,7 +105,7 @@ def fractional_vertex_cover(
 def dual_bound(
     graph: PortNumberedGraph,
     *,
-    matching: frozenset[PortEdge] | None = None,
+    matching: AbstractSet[PortEdge] | None = None,
     seed: int = 0,
 ) -> BoundResult:
     """The dual engine on its own: ``ν <= ⌊Σy⌋``, cover as certificate.

@@ -12,6 +12,10 @@ variable that belongs to at least one violated constraint.  A violated
 constraint contains its own variables, so after :func:`doubling_phases`
 phases every constraint is satisfied, and the multiplicative schedule
 keeps the objective within an ``O(log width)`` factor of the LP optimum.
+The rule is phase-synchronous, as in the fractional domination
+algorithms of Deurer, Kuhn and Maus, so one phase is a handful of
+whole-array numpy operations over a CSR constraint layout
+(:func:`covering_numerators`).
 
 The two clients:
 
@@ -26,9 +30,9 @@ The two clients:
   cover LP (a variable per node, a two-variable constraint per edge) to
   extract a certified dual upper bound on ν.
 
-All arithmetic is :class:`~fractions.Fraction` — values are exact
-powers of two over the start denominator, so certificates derived from
-them verify exactly.
+All arithmetic is exact: values are powers of two times the start value,
+capped at 1, so they stay integer numerators over the start denominator
+and certificates derived from them verify exactly.
 """
 
 from __future__ import annotations
@@ -36,10 +40,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import PortEdge
 
 __all__ = [
+    "covering_numerators",
     "doubling_phases",
     "line_graph_covering_instance",
     "solve_covering_lp",
@@ -49,6 +56,49 @@ __all__ = [
 def doubling_phases(delta: int) -> int:
     """Phases until ``x = 1/(2Δ)`` provably reaches 1: ``⌈log2(2Δ)⌉``."""
     return max(1, (2 * max(1, delta) - 1).bit_length())
+
+
+def covering_numerators(
+    num_vars: int,
+    members: np.ndarray,
+    sizes: np.ndarray,
+    *,
+    start: Fraction,
+    phases: int,
+) -> np.ndarray:
+    """Run the doubling schedule on a CSR constraint layout.
+
+    Constraint ``c`` is the next ``sizes[c]`` entries of *members*
+    (variable indices).  Returns the final values as ``int64``
+    numerators over ``start.denominator``.  The loop is
+    phase-synchronous, exactly like the distributed client: *all*
+    violations of a phase are computed against the same values before
+    any variable doubles.  Phases with no violated constraint change
+    nothing, so stopping early is value-identical to running all
+    ``phases`` — the distributed client always runs the full schedule
+    for its closed-form round count.  An empty constraint can never be
+    met but doubles nothing, so it is dropped up front.
+    """
+    den = start.denominator
+    members = np.asarray(members, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    peak = max(den, start.numerator) * max(2, int(sizes.max(initial=0)))
+    if peak > np.iinfo(np.int64).max:
+        raise OverflowError(f"start value {start} overflows int64 sums")
+    keep = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[keep]
+    sizes = sizes[keep]
+    x = np.full(num_vars, start.numerator, dtype=np.int64)
+    for _ in range(phases):
+        if not starts.size:
+            break
+        violated = np.add.reduceat(x[members], starts) < den
+        if not violated.any():
+            break
+        doubled = np.zeros(num_vars, dtype=bool)
+        doubled[members[np.repeat(violated, sizes)]] = True
+        x[doubled] = np.minimum(den, 2 * x[doubled])
+    return x
 
 
 def solve_covering_lp(
@@ -61,33 +111,17 @@ def solve_covering_lp(
     """Run the doubling schedule; returns the final variable values.
 
     Each constraint is a sequence of variable indices whose sum must
-    reach 1.  The loop is phase-synchronous, exactly like the
-    distributed client: *all* violations of a phase are computed against
-    the same values before any variable doubles.  Phases with no
-    violated constraint change nothing, so stopping early is
-    value-identical to running all ``phases`` — the distributed client
-    always runs the full schedule for its closed-form round count.
+    reach 1.  This lays the constraints out in CSR form for
+    :func:`covering_numerators` and returns exact fractions.
     """
-    # Internally the values are integer numerators over the fixed
-    # denominator of ``start``: doubling and capping at 1 never leave
-    # that lattice, so plain ``int`` arithmetic is exact and an order
-    # of magnitude faster than per-op Fraction normalisation.
+    sizes = [len(constraint) for constraint in constraints]
+    members = [i for constraint in constraints for i in constraint]
+    numerators = covering_numerators(
+        num_vars, np.array(members, dtype=np.int64),
+        np.array(sizes, dtype=np.int64), start=start, phases=phases,
+    )
     den = start.denominator
-    x = [start.numerator] * num_vars
-    for _ in range(phases):
-        doubled = [False] * num_vars
-        violated_any = False
-        for constraint in constraints:
-            if sum(x[i] for i in constraint) < den:
-                violated_any = True
-                for i in constraint:
-                    doubled[i] = True
-        if not violated_any:
-            break
-        for i, flag in enumerate(doubled):
-            if flag:
-                x[i] = min(den, 2 * x[i])
-    return [Fraction(num, den) for num in x]
+    return [Fraction(num, den) for num in numerators.tolist()]
 
 
 def line_graph_covering_instance(

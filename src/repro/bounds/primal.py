@@ -10,6 +10,23 @@ odd cycles — that only costs tightness, never soundness: whatever the
 search returns is a genuine matching, and augmenting preserves
 maximality because the matched vertex set only ever grows.
 
+Everything runs on the compiled CSR arrays (``graph.compiled().
+vector()``); no :class:`~repro.portgraph.ports.PortEdge` is built.
+Edge ``e`` is the edge at global port ``lower_ports[e]``, which is the
+graph's canonical ``edges`` order.  The greedy phase is the
+parallel-rounds greedy of Blelloch, Fineman and Shun ("Greedy
+sequential maximal independent set and matching are parallel on
+average", SPAA 2012): in each round every live edge whose rank is the
+minimum over the live edges at both of its endpoints joins the
+matching, then every edge touching a matched node dies.  Such an edge
+precedes every live neighbour in the order and all its earlier
+neighbours are already decided, so each round commits exactly the edges
+sequential greedy would take, and the result is the lexicographically
+first maximal matching of the seeded order.  Rounds are few (5–6 on
+random regular graphs at n = 32768, 7 at n = 2^20), each one a handful
+of array operations.  The augmenting search stays sequential, from the free
+roots only.
+
 The result doubles as the cheap half of the EDS sandwich: a maximal
 matching *is* a feasible edge dominating set, so ``|M|`` upper-bounds
 the EDS optimum while lower-bounding ν.
@@ -18,10 +35,13 @@ the EDS optimum while lower-bounding ν.
 from __future__ import annotations
 
 import random
+from array import array
+
+import numpy as np
 
 from repro.bounds.result import BoundResult, MatchingCertificate
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.ports import Node, PortEdge
+from repro.runtime.outputs import PortMaskEdgeSet
 
 __all__ = ["primal_bound", "primal_matching"]
 
@@ -36,41 +56,108 @@ DEFAULT_MAX_DEPTH = 3
 #: that must be spent.
 DEFAULT_PASSES = 4
 
+_NO_RANK = np.iinfo(np.int64).max
 
-def _augmenting_path(
-    root: Node,
-    adjacency: dict[Node, list[tuple[Node, PortEdge]]],
-    match: dict[Node, Node],
-    match_edge: dict[Node, PortEdge],
-    visited: set[Node],
-    max_depth: int,
-) -> list[PortEdge] | None:
-    """DFS for an alternating path from free *root* to another free
-    vertex, crossing at most *max_depth* matched edges.  *visited* is
-    shared across one pass (vertices are never unmarked), which keeps
-    the pass linear and the found paths pairwise vertex-disjoint."""
 
-    def search(u: Node, depth: int) -> list[PortEdge] | None:
-        for v, edge in adjacency[u]:
-            if v in visited:
+def _greedy(vg, lo, hi, order: np.ndarray) -> np.ndarray:
+    """Greedy maximal matching over *order* by parallel rounds.
+
+    Returns the node → matched-edge table (``-1`` for free nodes).
+    """
+    m = len(lo)
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m, dtype=np.int64)
+    a, b = vg.port_node[lo], vg.port_node[hi]
+    port_rank = np.full(vg.num_ports, _NO_RANK, dtype=np.int64)
+    port_rank[lo] = rank
+    port_rank[hi] = rank
+    match_edge = np.full(vg.num_nodes, -1, dtype=np.int64)
+    live = np.arange(m, dtype=np.int64)
+    while live.size:
+        low = vg.segment_min(port_rank)
+        r, la, lb = rank[live], a[live], b[live]
+        won = live[(low[la] == r) & (low[lb] == r)]
+        match_edge[a[won]] = won
+        match_edge[b[won]] = won
+        dead = (match_edge[la] >= 0) | (match_edge[lb] >= 0)
+        gone = live[dead]
+        port_rank[lo[gone]] = _NO_RANK
+        port_rank[hi[gone]] = _NO_RANK
+        live = live[~dead]
+    return match_edge
+
+
+def _adjacency(vg, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node neighbour and edge-index lists laid out on the port
+    offsets, each node's run sorted by edge index: the search scans a
+    node's edges in canonical edge order, not port order."""
+    edge_of = np.empty(vg.num_ports, dtype=np.int64)
+    edge_of[lo] = np.arange(len(lo), dtype=np.int64)
+    edge_of[hi] = edge_of[lo]
+    by_node = np.argsort(vg.port_node * len(lo) + edge_of)
+    return vg.peer_node[by_node], edge_of[by_node]
+
+
+def _augment(vg, lo, hi, match_edge, max_depth: int, passes: int) -> None:
+    """Depth-bounded augmenting-path passes, in place on *match_edge*."""
+    nbr_np, eid_np = _adjacency(vg, lo, hi)
+    a_np, b_np = vg.port_node[lo], vg.port_node[hi]
+    matched = match_edge >= 0
+    partner_np = np.full(vg.num_nodes, -1, dtype=np.int64)
+    ends = match_edge[matched]
+    # The far endpoint of a node's matched edge is a + b - node.
+    partner_np[matched] = a_np[ends] + b_np[ends] - np.flatnonzero(matched)
+    # memoryview indexing reads single ints without a boxed-list copy
+    # of the tables.
+    off = memoryview(vg.offsets)
+    nbr, eid = memoryview(nbr_np), memoryview(eid_np)
+    a, b = memoryview(a_np), memoryview(b_np)
+    medge, partner = memoryview(match_edge), memoryview(partner_np)
+
+    def search(u: int, depth: int, visited: bytearray) -> list | None:
+        """DFS for an alternating path from *u* to a free node crossing
+        at most ``max_depth`` matched edges; returns its unmatched
+        edges.  *visited* is shared across one pass (nodes are never
+        unmarked), which keeps the pass linear and the found paths
+        pairwise node-disjoint."""
+        for t in range(off[u], off[u + 1]):
+            v = nbr[t]
+            if visited[v]:
                 continue
-            if v not in match:
-                visited.add(v)
-                return [edge]
-            if depth >= max_depth:
+            w = partner[v]
+            if w < 0:
+                visited[v] = 1
+                return [eid[t]]
+            if depth >= max_depth or visited[w]:
                 continue
-            w = match[v]
-            if w in visited:
-                continue
-            visited.add(v)
-            visited.add(w)
-            tail = search(w, depth + 1)
+            visited[v] = visited[w] = 1
+            tail = search(w, depth + 1, visited)
             if tail is not None:
-                return [edge, match_edge[v]] + tail
+                return [eid[t]] + tail
         return None
 
-    visited.add(root)
-    return search(root, 0)
+    for _ in range(max(0, passes)):
+        # The matched set only grows, so later passes need no other roots.
+        roots = np.flatnonzero((match_edge < 0) & (vg.degrees > 0))
+        visited = bytearray(vg.num_nodes)
+        augmented = False
+        for root in roots.tolist():
+            if partner[root] >= 0 or visited[root]:
+                continue
+            visited[root] = 1
+            path = search(root, 0, visited)
+            if path is None:
+                continue
+            # *path* holds the unmatched edges of an alternating path;
+            # they cover every node on it, so matching them overwrites
+            # the entries of the matched edges in between.
+            for e in path:
+                u, v = a[e], b[e]
+                medge[u] = medge[v] = e
+                partner[u], partner[v] = v, u
+            augmented = True
+        if not augmented:
+            break
 
 
 def primal_matching(
@@ -79,53 +166,31 @@ def primal_matching(
     seed: int = 0,
     max_depth: int = DEFAULT_MAX_DEPTH,
     passes: int = DEFAULT_PASSES,
-) -> frozenset[PortEdge]:
+) -> PortMaskEdgeSet:
     """A maximal matching: greedy over a seeded shuffle, then augmented.
 
     Deterministic for a given ``(graph, seed, max_depth, passes)`` — the
-    shuffle uses :class:`random.Random` over the canonical edge order
-    and every subsequent scan follows canonical node order.
+    shuffle is :class:`random.Random` over the canonical edge indices
+    and every subsequent scan follows canonical node order.  Returned as
+    a port mask over the graph's compiled arrays.
     """
     graph.require_simple()
-    order = list(graph.edges)
+    cg = graph.compiled()
+    vg = cg.vector()
+    lo = vg.lower_ports
+    hi = vg.mate[lo]
+    # Shuffling an array('q') draws the same permutation as a list of
+    # the same length, and numpy reads it without a copy.
+    order = array("q", range(len(lo)))
     random.Random(seed).shuffle(order)
-
-    match: dict[Node, Node] = {}
-    match_edge: dict[Node, PortEdge] = {}
-    for e in order:
-        if e.u not in match and e.v not in match:
-            match[e.u], match[e.v] = e.v, e.u
-            match_edge[e.u] = match_edge[e.v] = e
-
-    adjacency: dict[Node, list[tuple[Node, PortEdge]]] = {
-        node: [] for node in graph.nodes
-    }
-    for e in graph.edges:  # canonical order — deterministic scans
-        adjacency[e.u].append((e.v, e))
-        adjacency[e.v].append((e.u, e))
-    for _ in range(max(0, passes)):
-        visited: set[Node] = set()
-        augmented = False
-        for root in graph.nodes:
-            if root in match or root in visited or not adjacency[root]:
-                continue
-            path = _augmenting_path(
-                root, adjacency, match, match_edge, visited, max_depth
-            )
-            if path is None:
-                continue
-            # Path edges alternate unmatched/matched and end unmatched;
-            # flipping them matches `root` and the far endpoint too.
-            for matched in path[1::2]:
-                del match[matched.u], match[matched.v]
-                del match_edge[matched.u], match_edge[matched.v]
-            for added in path[0::2]:
-                match[added.u], match[added.v] = added.v, added.u
-                match_edge[added.u] = match_edge[added.v] = added
-            augmented = True
-        if not augmented:
-            break
-    return frozenset(match_edge.values())
+    match_edge = _greedy(vg, lo, hi, np.frombuffer(order, dtype=np.int64))
+    del order
+    _augment(vg, lo, hi, match_edge, max_depth, passes)
+    chosen = match_edge[match_edge >= 0]  # each edge twice: harmless
+    mask = np.zeros(vg.num_ports, dtype=bool)
+    mask[lo[chosen]] = True
+    mask[hi[chosen]] = True
+    return PortMaskEdgeSet(cg, mask)
 
 
 def primal_bound(

@@ -18,25 +18,38 @@ objects, not solver state:
   :func:`repro.bounds.nu_sandwich`.
 
 :func:`verify_certificate` re-derives the claimed bounds from the
-certificate alone, edge by edge, entirely in ``int``/:class:`~fractions.
-Fraction` arithmetic — no floats, no trust in the engine that produced
-the result.  A bound that passes is *proven* for the given graph.
+certificate alone — no floats, no trust in the engine that produced the
+result.  A bound that passes is *proven* for the given graph.  It runs
+as array code over the graph's compiled CSR form: the matching becomes
+a port mask (one bool per global port) and the cover a vector of
+integer numerators over their least common denominator, whatever shape
+the certificate arrived in, and each condition is then one whole-array
+test — mask consistency ``mask == mask[mate]``, no loops, at most one
+matched port per node, maximality as edge domination, and
+``y_u + y_v >= lcd`` on every edge.  The sums run in ``int64`` when an
+explicit magnitude check allows it and in Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import AbstractSet, Mapping, Union
 
+import numpy as np
+
+from repro.eds.properties import undominated_ports
 from repro.exceptions import CertificateError
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node, PortEdge
+from repro.runtime.outputs import PortMaskEdgeSet
 
 __all__ = [
     "BoundResult",
     "CoverCertificate",
+    "CoverValues",
     "MatchingCertificate",
     "SandwichCertificate",
     "verify_certificate",
@@ -49,10 +62,12 @@ class MatchingCertificate:
 
     With ``maximal=True`` the certificate additionally claims no edge of
     the graph has both endpoints unmatched, which proves ``ν <= 2|M|``
-    and makes ``M`` a feasible edge dominating set.
+    and makes ``M`` a feasible edge dominating set.  ``edges`` is any
+    set of :class:`PortEdge`; the primal engine hands over a
+    :class:`~repro.runtime.outputs.PortMaskEdgeSet`.
     """
 
-    edges: frozenset[PortEdge]
+    edges: AbstractSet[PortEdge]
     maximal: bool = False
 
     @property
@@ -60,23 +75,69 @@ class MatchingCertificate:
         return len(self.edges)
 
 
+class CoverValues(MappingABC):
+    """Node → ``y_v`` as a view over integer numerators and one
+    denominator, indexed like the nodes of compiled graph *cg*.
+
+    Only nodes with a non-zero numerator are keys (``y = 0`` elsewhere,
+    the sparse convention of :class:`CoverCertificate`); a
+    :class:`~fractions.Fraction` is built only when a value is looked
+    up.  Compares equal to the plain ``dict`` with the same items.
+    """
+
+    __slots__ = ("cg", "numerators", "denominator")
+
+    def __init__(self, cg, numerators: np.ndarray, denominator: int) -> None:
+        self.cg = cg
+        self.numerators = numerators
+        self.denominator = denominator
+
+    def __getitem__(self, node: Node) -> Fraction:
+        value = int(self.numerators[self.cg.node_index[node]])
+        if not value:
+            raise KeyError(node)
+        return Fraction(value, self.denominator)
+
+    def __iter__(self):
+        nodes = self.cg.nodes
+        return (nodes[k] for k in np.flatnonzero(self.numerators).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.numerators))
+
+    def total(self) -> int:
+        """``Σ numerators`` as an exact integer."""
+        return int(_exact(self.numerators).sum())
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"CoverValues({len(self)} nodes over {self.denominator})"
+
+
 @dataclass(frozen=True)
 class CoverCertificate:
     """A fractional vertex cover ``y``; proves ``ν <= ⌊Σy⌋``.
 
     ``values`` is sparse: nodes not present carry ``y = 0``.  Feasibility
-    means ``y_u + y_v >= 1`` for every edge ``{u, v}``.
+    means ``y_u + y_v >= 1`` for every edge ``{u, v}``.  The dual engine
+    hands over a :class:`CoverValues` view, whose objective is one
+    integer sum.
     """
 
     values: Mapping[Node, Fraction]
 
     @property
     def objective(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
+        values = self.values
+        if isinstance(values, CoverValues):
+            return Fraction(values.total(), values.denominator)
+        return sum(values.values(), Fraction(0))
 
     @property
     def bound(self) -> int:
         """``⌊Σy⌋`` — the certified integer upper bound on ν."""
+        values = self.values
+        if isinstance(values, CoverValues):
+            return values.total() // values.denominator
         total = self.objective
         return total.numerator // total.denominator
 
@@ -114,47 +175,127 @@ class BoundResult:
         return self.upper - self.lower
 
 
-def _check_matching(
-    graph: PortNumberedGraph, cert: MatchingCertificate
-) -> int:
-    """Re-prove the matching certificate; returns the certified ``|M|``."""
-    graph_edges = set(graph.edges)
-    matched: set[Node] = set()
-    for e in cert.edges:
-        if e not in graph_edges:
+#: Sums of two values and totals over all nodes must stay below this
+#: for the ``int64`` path; larger covers switch to Python ints.
+_INT64_LIMIT = 1 << 62
+
+
+def _exact(values, lcd: int = 1) -> np.ndarray:
+    """*values* (integers) as an array whose sums and pairwise sums
+    against *lcd* cannot overflow: ``int64`` when the largest magnitude
+    times the length stays below :data:`_INT64_LIMIT`, else
+    ``dtype=object`` Python ints.  Never floats."""
+    array = np.asarray(values)
+    if array.dtype != object and array.size:
+        peak = max(abs(int(array.max())), abs(int(array.min())))
+    else:
+        peak = max((abs(int(v)) for v in array.tolist()), default=0)
+    if lcd < _INT64_LIMIT and peak * max(2, array.size) < _INT64_LIMIT:
+        return array.astype(np.int64, copy=False)
+    return np.array([int(v) for v in array.tolist()], dtype=object)
+
+
+def matching_mask(cg, edges: AbstractSet[PortEdge]) -> np.ndarray:
+    """A matching certificate's edges as a port mask over *cg*.
+
+    A :class:`PortMaskEdgeSet` must have been built on *cg* itself; any
+    other set of :class:`PortEdge` is looked up port by port, and an
+    edge that is not an edge of this graph raises
+    :class:`CertificateError`.
+    """
+    if isinstance(edges, PortMaskEdgeSet):
+        if edges.cg is not cg:
+            raise CertificateError(
+                "matching certificate is a port mask of a different graph"
+            )
+        mask = edges.mask
+        if mask.dtype != bool or mask.shape != (cg.num_ports,):
+            raise CertificateError(
+                f"matching certificate mask has shape {mask.shape} and "
+                f"dtype {mask.dtype}, not one bool per port"
+            )
+        return mask
+    mask = np.zeros(cg.num_ports, dtype=bool)
+    index, degrees, offsets, mate = (
+        cg.node_index, cg.degrees, cg.offsets, cg.mate
+    )
+    for e in edges:
+        k, h = index.get(e.u), index.get(e.v)
+        if (
+            k is None or h is None
+            or not 1 <= e.i <= degrees[k] or not 1 <= e.j <= degrees[h]
+            or mate[offsets[k] + e.i - 1] != offsets[h] + e.j - 1
+        ):
             raise CertificateError(
                 f"matching certificate contains non-edge {e!r}"
             )
-        if e.is_loop:
-            raise CertificateError(
-                f"matching certificate contains loop {e!r}"
-            )
-        if e.u in matched or e.v in matched:
-            raise CertificateError(
-                f"matching certificate is not a matching at {e!r}"
-            )
-        matched.add(e.u)
-        matched.add(e.v)
+        mask[offsets[k] + e.i - 1] = mask[offsets[h] + e.j - 1] = True
+    return mask
+
+
+def _check_matching(cg, cert: MatchingCertificate) -> int:
+    """Re-prove the matching certificate; returns the certified ``|M|``."""
+    vg = cg.vector()
+    mask = matching_mask(cg, cert.edges)
+    half = np.flatnonzero(mask != mask[vg.mate])
+    if half.size:
+        raise CertificateError(
+            f"matching certificate selects one half of edge "
+            f"{cg.edge(int(half[0]))!r}"
+        )
+    selected = np.flatnonzero(mask)
+    owner = vg.port_node[selected]
+    loops = selected[owner == vg.peer_node[selected]]
+    if loops.size:
+        raise CertificateError(
+            f"matching certificate contains loop {cg.edge(int(loops[0]))!r}"
+        )
+    per_node = np.bincount(owner, minlength=vg.num_nodes)
+    if (per_node > 1).any():
+        # The second selected port of the first overloaded node.
+        crowded = selected[per_node[owner] > 1]
+        g = int(crowded[1])
+        raise CertificateError(
+            f"matching certificate is not a matching at {cg.edge(g)!r}"
+        )
     if cert.maximal:
-        for e in graph.edges:
-            if e.u not in matched and e.v not in matched:
-                raise CertificateError(
-                    f"matching certificate claims maximality but misses "
-                    f"edge {e!r}"
-                )
-    return len(cert.edges)
+        missed = undominated_ports(vg, mask)
+        if missed.size:
+            raise CertificateError(
+                f"matching certificate claims maximality but misses "
+                f"edge {cg.edge(int(missed[0]))!r}"
+            )
+    return selected.size // 2
 
 
-def _check_cover(graph: PortNumberedGraph, cert: CoverCertificate) -> int:
-    """Re-prove the cover certificate; returns the certified ``⌊Σy⌋``.
-
-    The per-edge feasibility scan runs on integer numerators over the
-    least common denominator of the cover values — exact arithmetic
-    (every comparison is the Fraction comparison, cross-multiplied once
-    up front) without a Fraction normalisation per edge.
-    """
+def _cover_numerators(cg, values: Mapping[Node, Fraction]):
+    """A cover as ``(numerators, lcd)``: one integer per node of *cg*
+    over the least common denominator of the values."""
+    if isinstance(values, CoverValues):
+        if values.cg is not cg:
+            raise CertificateError(
+                "cover certificate is a view of a different graph"
+            )
+        numerators, lcd = values.numerators, values.denominator
+        if (
+            numerators.dtype.kind not in "iu"
+            or numerators.shape != (cg.num_nodes,)
+            or not isinstance(lcd, int) or lcd <= 0
+        ):
+            raise CertificateError(
+                f"cover numerators of dtype {numerators.dtype} over "
+                f"{lcd!r} are not exact arithmetic on this graph"
+            )
+        negative = np.flatnonzero(numerators < 0)
+        if negative.size:
+            k = int(negative[0])
+            raise CertificateError(
+                f"cover value at {cg.nodes[k]!r} is negative: "
+                f"{Fraction(int(numerators[k]), lcd)}"
+            )
+        return _exact(numerators, lcd), lcd
     lcd = 1
-    for node, value in cert.values.items():
+    for node, value in values.items():
         if not isinstance(value, (int, Fraction)):
             raise CertificateError(
                 f"cover value at {node!r} is {type(value).__name__}, "
@@ -164,17 +305,41 @@ def _check_cover(graph: PortNumberedGraph, cert: CoverCertificate) -> int:
             raise CertificateError(
                 f"cover value at {node!r} is negative: {value}"
             )
-        lcd = math.lcm(lcd, Fraction(value).denominator)
-    scaled = {
-        node: int(value * lcd) for node, value in cert.values.items()
-    }
-    for e in graph.edges:
-        if scaled.get(e.u, 0) + scaled.get(e.v, 0) < lcd:
+        if node not in cg.node_index:
             raise CertificateError(
-                f"cover certificate is infeasible at edge {e!r}: "
-                f"{cert.values.get(e.u, 0)} + {cert.values.get(e.v, 0)} < 1"
+                f"cover certificate names non-node {node!r}"
             )
-    return cert.bound
+        lcd = math.lcm(lcd, Fraction(value).denominator)
+    scaled = [0] * cg.num_nodes
+    index = cg.node_index
+    for node, value in values.items():
+        scaled[index[node]] = int(value * lcd)
+    return _exact(scaled, lcd), lcd
+
+
+def _check_cover(cg, cert: CoverCertificate) -> int:
+    """Re-prove the cover certificate; returns the certified ``⌊Σy⌋``.
+
+    The feasibility test is one array expression over the edges, on
+    integer numerators over the least common denominator of the cover
+    values: exact arithmetic (every comparison is the Fraction
+    comparison, cross-multiplied once up front), in ``int64`` when the
+    magnitudes allow it and in Python ints otherwise.
+    """
+    y, lcd = _cover_numerators(cg, cert.values)
+    vg = cg.vector()
+    lo = vg.lower_ports
+    infeasible = np.flatnonzero(
+        y[vg.port_node[lo]] + y[vg.peer_node[lo]] < lcd
+    )
+    if infeasible.size:
+        g = int(lo[infeasible[0]])
+        u, v = int(vg.port_node[g]), int(vg.peer_node[g])
+        raise CertificateError(
+            f"cover certificate is infeasible at edge {cg.edge(g)!r}: "
+            f"{Fraction(int(y[u]), lcd)} + {Fraction(int(y[v]), lcd)} < 1"
+        )
+    return int(y.sum()) // lcd
 
 
 def verify_certificate(
@@ -182,7 +347,10 @@ def verify_certificate(
 ) -> bool:
     """Re-prove *result*'s bounds from its certificate alone.
 
-    Checks, in exact ``int``/``Fraction`` arithmetic:
+    Both parts are first normalised to arrays over the graph's compiled
+    form (a port mask for the matching, integer numerators over one
+    denominator for the cover; a plain ``frozenset`` or ``dict`` takes
+    the same route), then checked, in exact integer arithmetic:
 
     * the matching part (if any) is a matching of the graph, maximal
       when claimed, and certifies ``ν >= result.lower``;
@@ -220,25 +388,23 @@ def verify_certificate(
             f"{result.upper - result.lower}"
         )
 
-    if result.lower > 0:
-        if matching is None:
-            raise CertificateError(
-                f"lower bound {result.lower} has no matching certificate"
-            )
-        certified = _check_matching(graph, matching)
-        if result.lower > certified:
-            raise CertificateError(
-                f"lower bound {result.lower} exceeds the certified "
-                f"matching size {certified}"
-            )
-    elif matching is not None:
-        _check_matching(graph, matching)
+    cg = graph.compiled()
+    if result.lower > 0 and matching is None:
+        raise CertificateError(
+            f"lower bound {result.lower} has no matching certificate"
+        )
+    matched = None if matching is None else _check_matching(cg, matching)
+    if matched is not None and result.lower > matched:
+        raise CertificateError(
+            f"lower bound {result.lower} exceeds the certified "
+            f"matching size {matched}"
+        )
 
     upper_candidates: list[int] = []
     if cover is not None:
-        upper_candidates.append(_check_cover(graph, cover))
+        upper_candidates.append(_check_cover(cg, cover))
     if matching is not None and matching.maximal:
-        upper_candidates.append(2 * matching.size)
+        upper_candidates.append(2 * matched)
     # An exact engine claims ``upper == ν == |M|`` for a *maximum*
     # matching — tighter than anything a certificate can prove (that
     # would amount to certifying maximumness).  The bracket
@@ -246,8 +412,8 @@ def verify_certificate(
     # itself is the engine's, so it is exempted here, explicitly.
     exact_claim = (
         result.exact
-        and matching is not None
-        and result.upper == matching.size
+        and matched is not None
+        and result.upper == matched
     )
     if not upper_candidates and not exact_claim:
         raise CertificateError(

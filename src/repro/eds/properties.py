@@ -52,19 +52,24 @@ def undominated_edges(
     return frozenset(graph.edges) - dominated_edges(graph, dominating)
 
 
-def _is_eds_mask(graph: PortNumberedGraph, dominating: PortMaskEdgeSet):
-    """Feasibility of a vector-engine port mask on its own graph, or ``None``.
+def undominated_ports(vg, mask) -> np.ndarray:
+    """The global ports whose edge a consistent port mask leaves
+    undominated, ascending (*vg* is the graph's ``VectorGraph``).
 
-    The selected ports' owners are exactly the covered nodes (the view
+    The selected ports' owners are exactly the covered nodes (the mask
     is consistent, so both ends of a selected edge are selected); every
     port then needs a covered owner or a covered peer.
     """
+    covered = np.zeros(vg.num_nodes, dtype=bool)
+    covered[vg.port_node[mask]] = True
+    return np.flatnonzero(~(covered[vg.port_node] | covered[vg.peer_node]))
+
+
+def _is_eds_mask(graph: PortNumberedGraph, dominating: PortMaskEdgeSet):
+    """Feasibility of a vector-engine port mask on its own graph, or ``None``."""
     if dominating.cg is not getattr(graph, "_compiled", None):
         return None
-    vg = dominating.cg.vector()
-    covered = np.zeros(vg.num_nodes, dtype=bool)
-    covered[vg.port_node[dominating.mask]] = True
-    return bool((covered[vg.port_node] | covered[vg.peer_node]).all())
+    return not undominated_ports(dominating.cg.vector(), dominating.mask).size
 
 
 def _is_eds_arrays(graph: PortNumberedGraph, dominating: Iterable[PortEdge]):

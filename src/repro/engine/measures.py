@@ -243,6 +243,9 @@ class QualityMeasure(Measure):
         )
         with span("optimum_verify"):
             verify_certificate(graph, nu)
+        rec = current_recorder()
+        if rec is not None:
+            rec.count("optimum.verified")
         lower = eds_lower_bound_from_nu(
             nu.lower, graph.num_edges, graph.max_degree
         )

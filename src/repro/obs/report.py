@@ -183,7 +183,8 @@ def _counter_lines(session: TelemetrySession) -> list[str]:
         verify = m.summary("phase.optimum_verify")
         lines.append(
             f"optimum: {sandwiches:g} ν-sandwich bound(s), mean gap "
-            f"(dual−primal) {mean_gap:.1f}; certificate verification "
+            f"(dual−primal) {mean_gap:.1f}; "
+            f"{m.counter('optimum.verified'):g} certificate(s) verified in "
             f"{_fmt_s(verify['total'])} total "
             f"(p50 {_fmt_s(verify['p50'])} per unit)"
         )

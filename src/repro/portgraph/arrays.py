@@ -234,9 +234,11 @@ class ArrayGraph(PortNumberedGraph):
         peer = owner[mate]
         if bool((peer == owner).any()):
             return False  # loop (directed or undirected)
-        # Parallel edges: some node lists the same neighbour twice.
-        key = owner * cg.num_nodes + peer
-        return int(np.unique(key).size) == cg.num_ports
+        # Parallel edges: some node lists the same neighbour twice.  The
+        # keys arrive sorted by owner, so sorting them is cheap; np.unique
+        # hashes instead and is far slower on millions of ports.
+        key = np.sort(owner * cg.num_nodes + peer)
+        return not bool((key[1:] == key[:-1]).any())
 
     # ------------------------------------------------------------------
     # Compiled form / pickling

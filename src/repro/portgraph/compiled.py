@@ -28,7 +28,7 @@ from __future__ import annotations
 from array import array
 
 from repro.portgraph.graph import PortNumberedGraph
-from repro.portgraph.ports import Node, Port
+from repro.portgraph.ports import Node, Port, PortEdge
 
 __all__ = ["CompiledGraph"]
 
@@ -190,6 +190,10 @@ class CompiledGraph:
         """Global port index back to the model's ``(node, port)`` pair."""
         k = self.port_node[g]
         return (self.nodes[k], g - self.offsets[k] + 1)
+
+    def edge(self, g: int) -> PortEdge:
+        """The edge at global port *g*."""
+        return PortEdge.make(*self.port(g), *self.port(self.mate[g]))
 
     def peer_local(self, g: int) -> int:
         """Local port number at the far end of global port *g*."""

@@ -47,6 +47,10 @@ class VectorGraph:
     fixed_ports:
         The fixed points of ``mate`` (directed loops, the only edges
         with one port), so edge counts over a port mask stay exact.
+    lower_ports:
+        The lower global port of every edge, ascending: edge ``e`` of
+        the graph's canonical ``edges`` order is the edge at global
+        port ``lower_ports[e]`` (built on first use).
     """
 
     __slots__ = (
@@ -62,6 +66,7 @@ class VectorGraph:
         "peer_local",
         "all_ports",
         "fixed_ports",
+        "_lower_ports",
         "_has_ports",
         "_starts",
     )
@@ -83,11 +88,18 @@ class VectorGraph:
         self.peer_node = self.port_node[self.mate]
         self.peer_local = self.local[self.mate]
         self.fixed_ports = np.flatnonzero(self.mate == self.all_ports)
+        self._lower_ports = None
         # reduceat segment starts of the nodes that own ports.  Only
         # empty segments lie between two of them, so each reduction
         # spans exactly its node's ports (the last one runs to the end).
         self._has_ports = self.degrees > 0
         self._starts = self.offsets[:-1][self._has_ports]
+
+    @property
+    def lower_ports(self):
+        if self._lower_ports is None:
+            self._lower_ports = np.flatnonzero(self.mate >= self.all_ports)
+        return self._lower_ports
 
     def segment_min(self, values, empty: int = _INT64_MAX):
         """Per-node minimum of a per-port int64 array.

@@ -8,7 +8,10 @@ the adversarial half does the same on the paper's lower-bound
 constructions, whose optimum is known by certificate.  The
 byte-stability half pins the content addresses and record bytes of the
 pre-bounds optimum modes against fixtures recorded *before* this
-subsystem existed (``tests/data/v2_optimum_keys.json``).
+subsystem existed (``tests/data/v2_optimum_keys.json``).  The array
+engines are held against the sequential Python they replaced, kept
+here as references: the primal matching must be set-equal and the
+numpy covering loop value-equal.
 """
 
 from __future__ import annotations
@@ -19,13 +22,18 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.lp_rounding import LPRoundingEDS
 from repro.bounds import (
     DUAL_BOUND_EDGE_LIMIT,
     BoundResult,
     CoverCertificate,
+    CoverValues,
     MatchingCertificate,
     SandwichCertificate,
     doubling_phases,
@@ -40,6 +48,7 @@ from repro.bounds import (
     verify_certificate,
 )
 from repro.bounds.fractional import line_graph_covering_instance
+from repro.bounds.result import _cover_numerators
 from repro.eds.bounds import (
     eds_lower_bound,
     eds_lower_bound_from_nu,
@@ -55,8 +64,15 @@ from repro.exceptions import CertificateError
 from repro.lowerbounds.even import build_even_lower_bound
 from repro.lowerbounds.odd import build_odd_lower_bound
 from repro.obs.spans import recording
+from repro.portgraph.convert import from_networkx
+from repro.portgraph.graph import PortNumberedGraph
+from repro.portgraph.numbering import random_numbering
+from repro.portgraph.ports import PortEdge
+from repro.registry.families import get_family
+from repro.runtime.outputs import PortMaskEdgeSet
 
 from test_family_matrix import BOUNDED_FAMILIES, REGULAR_FAMILIES
+from test_runtime_compiled import FAMILY_INSTANCES
 
 ALL_FAMILIES = REGULAR_FAMILIES + BOUNDED_FAMILIES
 
@@ -153,6 +169,172 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
+# The array primal against the sequential reference
+# ---------------------------------------------------------------------------
+
+
+def _primal_matching_reference(graph, *, seed=0, max_depth=3, passes=4):
+    """The sequential primal the array engine replaced: greedy over the
+    shuffled canonical edge list, then depth-bounded augmenting DFS
+    passes over dict adjacency, one PortEdge per edge."""
+    graph.require_simple()
+    order = list(graph.edges)
+    random.Random(seed).shuffle(order)
+    match, match_edge = {}, {}
+    for e in order:
+        if e.u not in match and e.v not in match:
+            match[e.u], match[e.v] = e.v, e.u
+            match_edge[e.u] = match_edge[e.v] = e
+    adjacency = {node: [] for node in graph.nodes}
+    for e in graph.edges:
+        adjacency[e.u].append((e.v, e))
+        adjacency[e.v].append((e.u, e))
+
+    def search(u, depth, visited):
+        for v, edge in adjacency[u]:
+            if v in visited:
+                continue
+            if v not in match:
+                visited.add(v)
+                return [edge]
+            if depth >= max_depth:
+                continue
+            w = match[v]
+            if w in visited:
+                continue
+            visited.add(v)
+            visited.add(w)
+            tail = search(w, depth + 1, visited)
+            if tail is not None:
+                return [edge, match_edge[v]] + tail
+        return None
+
+    for _ in range(max(0, passes)):
+        visited = set()
+        augmented = False
+        for root in graph.nodes:
+            if root in match or root in visited or not adjacency[root]:
+                continue
+            visited.add(root)
+            path = search(root, 0, visited)
+            if path is None:
+                continue
+            for matched in path[1::2]:
+                del match[matched.u], match[matched.v]
+                del match_edge[matched.u], match_edge[matched.v]
+            for added in path[0::2]:
+                match[added.u], match[added.v] = added.v, added.u
+                match_edge[added.u] = match_edge[added.v] = added
+            augmented = True
+        if not augmented:
+            break
+    return frozenset(match_edge.values())
+
+
+@st.composite
+def _simple_graphs(draw):
+    """G(n, p) plus isolated nodes, a pendant path and degree-1 leaves
+    hung off existing nodes, under a random port numbering."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    p = draw(st.floats(min_value=0.05, max_value=0.9))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    graph = nx.gnp_random_graph(n, p, seed=seed)
+    label = n
+    chain = draw(st.integers(min_value=0, max_value=6))
+    previous = None if n == 0 else draw(
+        st.integers(min_value=0, max_value=n - 1)
+    )
+    for _ in range(chain):
+        graph.add_node(label)
+        if previous is not None:
+            graph.add_edge(previous, label)
+        previous, label = label, label + 1
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        graph.add_node(label)
+        label += 1
+    if graph.number_of_nodes() == 0:
+        graph.add_node(0)
+    return from_networkx(graph, random_numbering(seed))
+
+
+class TestArrayPrimalMatchesReference:
+    @pytest.mark.parametrize("name,make,d", ALL_FAMILIES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_family_matrix(self, name, make, d, seed):
+        g = make()
+        assert primal_matching(g, seed=seed) == _primal_matching_reference(
+            g, seed=seed
+        ), name
+
+    @given(graph=_simple_graphs(), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_random_simple_graphs(self, graph, seed):
+        assert primal_matching(graph, seed=seed) == (
+            _primal_matching_reference(graph, seed=seed)
+        )
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_pairing_regular_4096(self, d):
+        g = get_family("pairing_regular").make({"d": d, "n": 4096}, 5)
+        for seed in (0, 1):
+            assert primal_matching(g, seed=seed) == (
+                _primal_matching_reference(g, seed=seed)
+            )
+
+
+class TestArrayNativePath:
+    def test_sandwich_and_verify_build_no_port_edges(self, monkeypatch):
+        """On an array-built graph the whole certified path stays on the
+        CSR arrays: no PortEdge is built and ``graph.edges`` is never
+        materialised."""
+        g = get_family("pairing_regular").make({"d": 3, "n": 512}, 1)
+        built = []
+        real = PortEdge.__post_init__
+
+        def counting(self):
+            built.append(1)
+            real(self)
+
+        monkeypatch.setattr(PortEdge, "__post_init__", counting)
+        result = nu_sandwich(g, seed=0)
+        assert verify_certificate(g, result)
+        assert result.lower > 0 and not built
+        with pytest.raises(AttributeError):
+            PortNumberedGraph._edges.__get__(g)
+
+
+def _edge_order_instances():
+    for name, make, _ in ALL_FAMILIES:
+        yield name, make
+    for family, params in FAMILY_INSTANCES.items():
+        for p in params:
+            yield f"{family}{p}", (
+                lambda family=family, p=p: get_family(family).make(p, 7)
+            )
+    yield "lower_bound_even-4", lambda: build_even_lower_bound(4).graph
+    yield "lower_bound_odd-3", lambda: build_odd_lower_bound(3).graph
+    yield "pairing_regular-4096", (
+        lambda: get_family("pairing_regular").make({"d": 4, "n": 4096}, 1)
+    )
+
+
+class TestEdgeOrderPin:
+    """The array engines index edges by their lower global port; the
+    seeded shuffle, and so the matching, is only the sequential one if
+    that order is ``graph.edges`` order."""
+
+    @pytest.mark.parametrize(
+        "name,make", list(_edge_order_instances()),
+        ids=[name for name, _ in _edge_order_instances()],
+    )
+    def test_lower_ports_follow_canonical_edges(self, name, make):
+        g = make()
+        cg = g.compiled()
+        lower = cg.vector().lower_ports.tolist()
+        assert [cg.edge(port) for port in lower] == list(g.edges), name
+
+
+# ---------------------------------------------------------------------------
 # Certificate verification rejects corruption
 # ---------------------------------------------------------------------------
 
@@ -243,6 +425,124 @@ class TestVerifyRejectsCorruption:
             )
 
 
+class TestVerifyRejectsCorruptArrays:
+    """The same guarantees on the array certificates the engines emit."""
+
+    def _sandwich(self):
+        g = REGULAR_FAMILIES[7][1]()  # petersen
+        return g, nu_sandwich(g, seed=0)
+
+    def _matching_result(self, edges, maximal=True):
+        return BoundResult(
+            lower=len(edges), upper=2 * len(edges),
+            certificate=MatchingCertificate(edges=edges, maximal=maximal),
+            exact=False,
+        )
+
+    def test_half_edge_cleared(self):
+        g, s = self._sandwich()
+        edges = s.certificate.matching.edges
+        tampered = PortMaskEdgeSet(edges.cg, edges.mask.copy())
+        tampered.mask[np.flatnonzero(tampered.mask)[0]] = False
+        with pytest.raises(CertificateError, match="one half"):
+            verify_certificate(g, self._matching_result(tampered))
+
+    def test_two_matched_edges_at_one_node(self):
+        g, _ = self._sandwich()
+        cg = g.compiled()
+        mask = np.zeros(cg.num_ports, dtype=bool)
+        for port in (0, 1):  # two ports of node 0
+            mask[port] = mask[cg.mate[port]] = True
+        with pytest.raises(CertificateError, match="not a matching"):
+            verify_certificate(
+                g, self._matching_result(PortMaskEdgeSet(cg, mask), False)
+            )
+
+    def test_non_maximal_mask(self):
+        g, s = self._sandwich()
+        edges = s.certificate.matching.edges
+        mask = edges.mask.copy()
+        first = np.flatnonzero(mask)[0]
+        mask[first] = mask[edges.cg.mate[first]] = False
+        with pytest.raises(CertificateError, match="maximality"):
+            verify_certificate(
+                g, self._matching_result(PortMaskEdgeSet(edges.cg, mask))
+            )
+
+    def _cover_result(self, s, numerators):
+        values = s.certificate.cover.values
+        cover = CoverCertificate(
+            values=CoverValues(values.cg, numerators, values.denominator)
+        )
+        return BoundResult(0, s.upper, cover, exact=False)
+
+    def test_lowered_numerator(self):
+        g, s = self._sandwich()
+        values = s.certificate.cover.values
+        vg = values.cg.vector()
+        y = values.numerators.copy()
+        tight = np.flatnonzero(
+            y[vg.port_node] + y[vg.peer_node] == values.denominator
+        )[0]
+        y[vg.port_node[tight]] -= 1
+        with pytest.raises(CertificateError, match="infeasible"):
+            verify_certificate(g, self._cover_result(s, y))
+
+    def test_negative_numerator(self):
+        g, s = self._sandwich()
+        y = s.certificate.cover.values.numerators.copy()
+        y[3] = -1
+        with pytest.raises(CertificateError, match="negative"):
+            verify_certificate(g, self._cover_result(s, y))
+
+    def test_mask_from_a_different_graph(self):
+        g, _ = self._sandwich()
+        twin = REGULAR_FAMILIES[7][1]()
+        assert twin == g and twin is not g
+        result = primal_bound(twin, seed=0)
+        assert verify_certificate(twin, result)
+        with pytest.raises(CertificateError, match="different graph"):
+            verify_certificate(g, result)
+
+    def test_non_edge_in_plain_set(self):
+        g, _ = self._sandwich()
+        u, v = g.nodes[0], g.nodes[1]
+        fake = PortEdge.make(u, 1, v, 2)
+        assert fake not in set(g.edges)
+        with pytest.raises(CertificateError, match="non-edge"):
+            verify_certificate(
+                g, self._matching_result(frozenset({fake}), False)
+            )
+
+    def test_cover_beyond_int64_verifies_exactly(self):
+        """Denominators near 2^61 push the LCM-scaled numerators past
+        int64; the check switches to Python ints, never floats.  The
+        margins (~2^-62) are far below double precision around 1."""
+        g, _ = self._sandwich()
+        base = 2**61
+        values = {
+            node: Fraction(1, 2) + Fraction(1, base + 2 * k + 1)
+            for k, node in enumerate(g.nodes)
+        }
+        y, lcd = _cover_numerators(g.compiled(), values)
+        assert y.dtype == object and lcd > 2**63
+        assert all(type(v) is int for v in y.tolist())
+        cover = CoverCertificate(values=values)
+        assert cover.bound == g.num_nodes // 2
+        assert verify_certificate(
+            g, BoundResult(0, cover.bound, cover, exact=False)
+        )
+        # Shave the smallest positive margin off one endpoint of every
+        # edge at node 0: 1 - 1/q + 1/p < 1 exactly, == 1.0 in floats.
+        q = base - 1
+        values[g.nodes[0]] = Fraction(1, 2) - Fraction(1, q)
+        broken = CoverCertificate(values=values)
+        with pytest.raises(CertificateError, match="infeasible"):
+            verify_certificate(
+                g, BoundResult(0, broken.bound, broken, exact=False)
+            )
+
+
 # ---------------------------------------------------------------------------
 # The shared fractional solver: central == distributed
 # ---------------------------------------------------------------------------
@@ -266,6 +566,24 @@ def _distributed_fractional_values(graph, delta):
     return programs
 
 
+def _solve_covering_lp_reference(num_vars, constraints, *, start, phases):
+    """The per-constraint Fraction loop the numpy solver replaced."""
+    x = [start] * num_vars
+    for _ in range(phases):
+        doubled = [False] * num_vars
+        violated_any = False
+        for constraint in constraints:
+            if sum((x[i] for i in constraint), Fraction(0)) < 1:
+                violated_any = True
+                for i in constraint:
+                    doubled[i] = True
+        if not violated_any:
+            break
+        x = [min(Fraction(1), 2 * v) if flag else v
+             for v, flag in zip(x, doubled)]
+    return x
+
+
 class TestSharedFractionalSolver:
     @pytest.mark.parametrize(
         "family_index,delta",
@@ -287,6 +605,18 @@ class TestSharedFractionalSolver:
             assert x_u == central[index], (
                 "central and distributed solves diverge"
             )
+
+    @pytest.mark.parametrize("name,make,d", ALL_FAMILIES)
+    def test_numpy_loop_equals_fraction_loop(self, name, make, d):
+        g = make()
+        edges, constraints = line_graph_covering_instance(g)
+        delta = g.max_degree
+        kwargs = dict(
+            start=Fraction(1, 2 * delta), phases=doubling_phases(delta)
+        )
+        assert solve_covering_lp(len(edges), constraints, **kwargs) == (
+            _solve_covering_lp_reference(len(edges), constraints, **kwargs)
+        ), name
 
     def test_solution_is_feasible(self):
         g = BOUNDED_FAMILIES[1][1]()  # grid-3x4
@@ -419,6 +749,11 @@ class TestEngineThreading:
         assert "gap" in optimum_span.attrs
         assert rec.counters["optimum.sandwich"] == 1
         assert "optimum.gap_total" in rec.counters
+        assert rec.counters["optimum.verified"] == 1
+        optimum_index = rec.spans.index(optimum_span)
+        for half in ("optimum:primal", "optimum:dual"):
+            child = next(s for s in rec.spans if s.name == half)
+            assert child.parent == optimum_index, half
 
 
 class TestSummaryAndCompareIntervals:

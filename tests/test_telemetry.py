@@ -244,6 +244,23 @@ class TestInstrumentedExecution:
                 == cold.path_for(key).read_bytes()
             )
 
+    def test_sandwich_cached_bytes_unchanged_by_telemetry(self, tmp_path):
+        """The same on ``dual_bound`` units, whose optimum runs under the
+        ``optimum:primal`` / ``optimum:dual`` spans and bumps
+        ``optimum.verified``."""
+        grid = GRID.override(optimum="dual_bound").expand()
+        cold = ResultCache(tmp_path / "cold")
+        run_units(grid, cache=cold)
+        warm = ResultCache(tmp_path / "warm")
+        with telemetry() as session:
+            run_units(grid, cache=warm)
+        assert session.metrics.counter("optimum.verified") == len(grid)
+        for key in cold.keys():
+            assert (
+                warm.path_for(key).read_bytes()
+                == cold.path_for(key).read_bytes()
+            )
+
     def test_cache_hit_and_miss_metrics(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         with telemetry() as session:
