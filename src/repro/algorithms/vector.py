@@ -42,6 +42,7 @@ from repro.runtime.vector import (
 )
 
 __all__ = [
+    "require_max_degree",
     "VectorAllEdges",
     "VectorBoundedDegree",
     "VectorDoubleCover",
@@ -51,6 +52,19 @@ __all__ = [
 ]
 
 _INF = (1 << 63) - 1
+
+
+def require_max_degree(graph: PortNumberedGraph, max_degree: int) -> None:
+    """Raise :class:`AlgorithmContractError` for the first node (in
+    construction order) whose degree exceeds *max_degree*, as the node
+    program factories do."""
+    degrees = graph.compiled().degrees
+    over = np.flatnonzero(degrees > max_degree)
+    if over.size:
+        raise AlgorithmContractError(
+            f"node degree {int(degrees[over[0]])} exceeds promised bound "
+            f"Δ = {max_degree}"
+        )
 
 
 # -- Theorem 3 -------------------------------------------------------------
@@ -67,12 +81,12 @@ class VectorPortOne(VectorProgram):
     __slots__ = ()
 
     def _step(self, rnd):
-        vg = self.vg
-        sends = vg.all_ports
+        cg = self.cg
+        sends = cg.all_ports
         ok = self.deliver(rnd, sends)
         if self.record:
-            self.log_sends(sends, PAYLOAD_INT, a=vg.local, delivered=ok)
-        np.logical_or(vg.local == 1, vg.peer_local == 1, out=self.out_mask)
+            self.log_sends(sends, PAYLOAD_INT, a=cg.local, delivered=ok)
+        np.logical_or(cg.local == 1, cg.peer_local == 1, out=self.out_mask)
         self.halt_nodes(np.flatnonzero(self.running))
 
 
@@ -90,7 +104,7 @@ class VectorAllEdges(VectorProgram):
 # -- shared Section 5 label machinery --------------------------------------
 
 
-def _label_tables(vg):
+def _label_tables(cg):
     """Distinguishable ports and pair tags, fully vectorised.
 
     Returns ``(dn_port, tag_k, tag_i, tag_j, tag_g)`` memoised as
@@ -102,15 +116,14 @@ def _label_tables(vg):
     (:class:`~repro.algorithms.base.LabelAwareProgram`), with the same
     Lemma 2 violation check.
     """
-    cg = vg.cg
     try:
         return cg.memo["vector_label"]
     except KeyError:
         pass
-    total = vg.num_ports
-    local = vg.local
-    peer_local = vg.peer_local
-    owner = vg.port_node
+    total = cg.num_ports
+    local = cg.local
+    peer_local = cg.peer_local
+    owner = cg.port_node
 
     # Pair multiplicity per node: a port's edge label is the unordered
     # pair {i, peer_local}; unique pairs are the distinguishable edges.
@@ -122,15 +135,15 @@ def _label_tables(vg):
         pair_key, return_inverse=True, return_counts=True
     )
     unique_pair = counts[inverse] == 1
-    dn = vg.segment_min(np.where(unique_pair, local, _INF), _INF)
+    dn = cg.segment_min(np.where(unique_pair, local, _INF), _INF)
     dn_port = np.where(dn == _INF, -1, dn)
 
     # Tag rows.  A port g is tagged (i, j) when its own end is the
     # distinguishable port (i = local) or its peer end is (pair
     # reversed) — mirroring LabelAwareProgram's two tag sources.
     tag_own = dn_port[owner] == local
-    tag_peer = dn_port[vg.peer_node] == peer_local
-    gids = vg.all_ports
+    tag_peer = dn_port[cg.peer_node] == peer_local
+    gids = cg.all_ports
     tag_k = np.concatenate([owner[tag_own], owner[tag_peer]])
     tag_i = np.concatenate([local[tag_own], peer_local[tag_peer]])
     tag_j = np.concatenate([peer_local[tag_own], local[tag_peer]])
@@ -168,7 +181,7 @@ def _label_tables(vg):
     return tables
 
 
-def _entry_groups(vg, ent_step, ent_k, ent_g, extra=()):
+def _entry_groups(cg, ent_step, ent_k, ent_g, extra=()):
     """Sort schedule entries by ``(step, node)`` and group by step.
 
     Returns ``(steps, starts, ent_k, ent_g, ent_peer, *extra_sorted)``
@@ -182,11 +195,11 @@ def _entry_groups(vg, ent_step, ent_k, ent_g, extra=()):
     ent_k = ent_k[order]
     ent_g = ent_g[order]
     extra_sorted = tuple(column[order] for column in extra)
-    total = vg.num_ports
+    total = cg.num_ports
     # Within a step each node appears once, in ascending order, so the
     # (step, gport) key array is strictly increasing.
     keys = ent_step * total + ent_g
-    peer_keys = ent_step * total + vg.mate[ent_g]
+    peer_keys = ent_step * total + cg.mate[ent_g]
     if len(keys):
         pos = np.searchsorted(keys, peer_keys)
         pos = np.minimum(pos, len(keys) - 1)
@@ -213,27 +226,27 @@ class _VectorLabelAware(VectorProgram):
 
     def __init__(self, graph: PortNumberedGraph) -> None:
         super().__init__(graph)
-        self.dn_port = _label_tables(self.vg)[0]
+        self.dn_port = _label_tables(self.cg)[0]
 
     def _setup_step(self, rnd):
         """Rounds 0 and 1: the ``hello`` / ``dn`` total broadcasts."""
-        vg = self.vg
-        sends = vg.all_ports
+        cg = self.cg
+        sends = cg.all_ports
         ok = self.deliver(rnd, sends)
         if self.record:
             if rnd == 0:
                 self.log_sends(
                     sends,
                     PAYLOAD_HELLO,
-                    a=vg.local,
-                    b=vg.degrees[vg.port_node],
+                    a=cg.local,
+                    b=cg.degrees[cg.port_node],
                     delivered=ok,
                 )
             else:
                 self.log_sends(
                     sends,
                     PAYLOAD_DN,
-                    a=vg.local == self.dn_port[vg.port_node],
+                    a=cg.local == self.dn_port[cg.port_node],
                     delivered=ok,
                 )
 
@@ -241,15 +254,14 @@ class _VectorLabelAware(VectorProgram):
 # -- Theorem 4 -------------------------------------------------------------
 
 
-def _regular_odd_schedule(vg):
+def _regular_odd_schedule(cg):
     """The two-phase pair schedule as grouped entry arrays, memoised."""
-    cg = vg.cg
     try:
         return cg.memo["vector_regular_odd"]
     except KeyError:
         pass
-    _, tag_k, tag_i, tag_j, tag_g = _label_tables(vg)
-    d = vg.degrees[tag_k]
+    _, tag_k, tag_i, tag_j, tag_g = _label_tables(cg)
+    d = cg.degrees[tag_k]
     # A pair can name a *peer* port number beyond this node's own
     # degree; the node's d-bounded schedule never reaches it.
     keep = (tag_i <= d) & (tag_j <= d)
@@ -262,9 +274,9 @@ def _regular_odd_schedule(vg):
     ent_g = np.concatenate([tag_g, tag_g])
     phase2 = np.zeros(len(ent_step), dtype=bool)
     phase2[len(step1):] = True
-    groups = _entry_groups(vg, ent_step, ent_k, ent_g, extra=(phase2,))
+    groups = _entry_groups(cg, ent_step, ent_k, ent_g, extra=(phase2,))
 
-    degrees = vg.degrees
+    degrees = cg.degrees
     halt_k = np.flatnonzero(degrees > 0)
     halt_step = 2 * degrees[halt_k] * degrees[halt_k] - 1
     order = np.lexsort((halt_k, halt_step))
@@ -291,11 +303,11 @@ class VectorRegularOdd(_VectorLabelAware):
 
     def __init__(self, graph: PortNumberedGraph) -> None:
         super().__init__(graph)
-        self._sched = _regular_odd_schedule(self.vg)
-        vg = self.vg
-        self.sel_flag = np.zeros(vg.num_ports, dtype=bool)
-        self.sel_count = np.zeros(vg.num_nodes, dtype=np.int64)
-        self.covered = np.zeros(vg.num_nodes, dtype=bool)
+        self._sched = _regular_odd_schedule(self.cg)
+        cg = self.cg
+        self.sel_flag = np.zeros(cg.num_ports, dtype=bool)
+        self.sel_count = np.zeros(cg.num_nodes, dtype=np.int64)
+        self.covered = np.zeros(cg.num_nodes, dtype=bool)
 
     def _step(self, rnd):
         if rnd < 2:
@@ -360,9 +372,8 @@ class VectorRegularOdd(_VectorLabelAware):
 # -- Theorem 5 -------------------------------------------------------------
 
 
-def _bounded_schedule(vg, delta):
+def _bounded_schedule(cg, delta):
     """Phase lookup table + grouped phase-I entries for Δ' = *delta*."""
-    cg = vg.cg
     try:
         return cg.memo["vector_bounded", delta]
     except KeyError:
@@ -378,9 +389,9 @@ def _bounded_schedule(vg, delta):
     for local in range(1 + 2 * delta):
         schedule.append(("III", local))
 
-    _, tag_k, tag_i, tag_j, tag_g = _label_tables(vg)
+    _, tag_k, tag_i, tag_j, tag_g = _label_tables(cg)
     ent_step = (tag_i - 1) * delta + (tag_j - 1)
-    groups = _entry_groups(vg, ent_step, tag_k, tag_g)
+    groups = _entry_groups(cg, ent_step, tag_k, tag_g)
     memoed = (tuple(schedule), groups)
     cg.memo["vector_bounded", delta] = memoed
     return memoed
@@ -421,22 +432,17 @@ class VectorBoundedDegree(_VectorLabelAware):
     def __init__(
         self, graph: PortNumberedGraph, max_degree: int, odd_delta: int
     ) -> None:
-        for v in graph.nodes:
-            if graph.degree(v) > max_degree:
-                raise AlgorithmContractError(
-                    f"node degree {graph.degree(v)} exceeds promised bound "
-                    f"Δ = {max_degree}"
-                )
+        require_max_degree(graph, max_degree)
         super().__init__(graph)
         self.delta = odd_delta
-        self.schedule, self._pairs = _bounded_schedule(self.vg, odd_delta)
+        self.schedule, self._pairs = _bounded_schedule(self.cg, odd_delta)
         self.total_steps = len(self.schedule)
-        vg = self.vg
-        n = vg.num_nodes
-        self.peer_degree = vg.degrees[vg.peer_node]
+        cg = self.cg
+        n = cg.num_nodes
+        self.peer_degree = cg.degrees[cg.peer_node]
         self.m_port = np.full(n, -1, dtype=np.int64)
         self.m_cov = np.zeros(n, dtype=bool)
-        self.p_flag = np.zeros(vg.num_ports, dtype=bool)
+        self.p_flag = np.zeros(cg.num_ports, dtype=bool)
         self.white_eligible = np.zeros(n, dtype=bool)
         self.stage_accepted = np.zeros(n, dtype=bool)
         self.out_done = np.zeros(n, dtype=bool)
@@ -472,7 +478,7 @@ class VectorBoundedDegree(_VectorLabelAware):
                 self.out_mask[owned] = self.p_flag[owned]
                 matched = ks[self.m_port[ks] >= 0]
                 self.out_mask[
-                    self.vg.offsets[matched] + self.m_port[matched] - 1
+                    self.cg.offsets[matched] + self.m_port[matched] - 1
                 ] = True
                 self.halt_nodes(ks)
 
@@ -500,18 +506,18 @@ class VectorBoundedDegree(_VectorLabelAware):
         # add to M iff *neither* endpoint is covered (§7 phase I)
         update = got & ~cov & ~peer_bits
         if update.any():
-            self.m_port[ks[update]] = self.vg.local[gs[update]]
+            self.m_port[ks[update]] = self.cg.local[gs[update]]
             self.m_cov[ks[update]] = True
 
     def _kickoff(self, rnd, located):
         """Stage / phase III boundary: total status broadcast + reset."""
-        vg = self.vg
-        sends = vg.all_ports
+        cg = self.cg
+        sends = cg.all_ports
         ok = self.deliver(rnd, sends)
         if self.record:
             code = PAYLOAD_SCOV if located[0] == "II" else PAYLOAD_HCOV
             self.log_sends(
-                sends, code, a=self.m_cov[vg.port_node], delivered=ok
+                sends, code, a=self.m_cov[cg.port_node], delivered=ok
             )
         if located[0] == "II":
             self._start_stage(located[1])
@@ -520,10 +526,10 @@ class VectorBoundedDegree(_VectorLabelAware):
 
     def _set_queues(self, port_mask):
         """Rebuild the flat proposal queues from a per-port mask."""
-        vg = self.vg
+        cg = self.cg
         queued = np.flatnonzero(port_mask)
         counts = np.bincount(
-            vg.port_node[queued], minlength=vg.num_nodes
+            cg.port_node[queued], minlength=cg.num_nodes
         )
         self.queue_flat = queued
         self.queue_end = np.cumsum(counts)
@@ -537,28 +543,28 @@ class VectorBoundedDegree(_VectorLabelAware):
         towards uncovered smaller-degree neighbours; whites (uncovered,
         degree < stage) are eligible acceptors.
         """
-        vg = self.vg
-        degrees = vg.degrees
+        cg = self.cg
+        degrees = cg.degrees
         uncovered = ~self.m_cov
         self._phase3 = False
         self.white_eligible = uncovered & (degrees < stage)
         self.stage_accepted[:] = False
-        owner = vg.port_node
+        owner = cg.port_node
         self._set_queues(
             uncovered[owner]
             & (degrees[owner] == stage)
             & (self.peer_degree < stage)
-            & uncovered[vg.peer_node]
+            & uncovered[cg.peer_node]
         )
 
     def _start_h(self):
         """Phase III setup: every uncovered node proposes along its
         uncovered neighbours; acceptance state starts clean."""
-        vg = self.vg
+        cg = self.cg
         uncovered = ~self.m_cov
         self._phase3 = True
         self.accepted_in[:] = False
-        self._set_queues(uncovered[vg.port_node] & uncovered[vg.peer_node])
+        self._set_queues(uncovered[cg.port_node] & uncovered[cg.peer_node])
         self.out_done = self.cursor >= self.queue_end
 
     def _propose(self, rnd):
@@ -578,13 +584,13 @@ class VectorBoundedDegree(_VectorLabelAware):
     def _respond(self, rnd):
         """Group pending proposals per responder; the smallest pending
         port wins when the responder is eligible to accept."""
-        vg = self.vg
+        cg = self.cg
         src = self._pending
         self._pending = None
-        targets = vg.mate[src]
+        targets = cg.mate[src]
         order = np.argsort(targets)
         tgs = targets[order]
-        tks = vg.port_node[tgs]
+        tks = cg.port_node[tgs]
         first = np.ones(len(tgs), dtype=bool)
         first[1:] = tks[1:] != tks[:-1]
         if self._phase3:
@@ -603,22 +609,22 @@ class VectorBoundedDegree(_VectorLabelAware):
             self.p_flag[winners] = True
             self.accepted_in[acceptors] = True
         else:
-            self.m_port[acceptors] = vg.local[winners]
+            self.m_port[acceptors] = cg.local[winners]
             self.m_cov[acceptors] = True
             self.stage_accepted[acceptors] = True
         # proposer-side state (updates on reply delivery)
         delivered = ok if ok is not None else np.ones(len(tgs), dtype=bool)
         sorted_src = src[order]
         acc_src = sorted_src[acc & delivered]
-        acc_prop = vg.port_node[acc_src]
+        acc_prop = cg.port_node[acc_src]
         if self._phase3:
             self.p_flag[acc_src] = True
             self.out_done[acc_prop] = True
         else:
-            self.m_port[acc_prop] = vg.local[acc_src]
+            self.m_port[acc_prop] = cg.local[acc_src]
             self.m_cov[acc_prop] = True
             self.stage_accepted[acc_prop] = True
-        rej_prop = vg.port_node[sorted_src[~acc & delivered]]
+        rej_prop = cg.port_node[sorted_src[~acc & delivered]]
         self.cursor[rej_prop] += 1
         if self._phase3:
             self.out_done[rej_prop] |= (
@@ -636,30 +642,25 @@ class VectorDoubleCover(VectorProgram):
                  "_pending")
 
     def __init__(self, graph: PortNumberedGraph, max_degree: int) -> None:
-        for v in graph.nodes:
-            if graph.degree(v) > max_degree:
-                raise AlgorithmContractError(
-                    f"node degree {graph.degree(v)} exceeds promised bound "
-                    f"Δ = {max_degree}"
-                )
+        require_max_degree(graph, max_degree)
         super().__init__(graph)
         self.delta = max_degree
-        vg = self.vg
-        n = vg.num_nodes
+        cg = self.cg
+        n = cg.num_nodes
         self.cursor = np.zeros(n, dtype=np.int64)  # 0-based propose index
-        self.out_done = vg.degrees == 0
+        self.out_done = cg.degrees == 0
         self.accepted_in = np.zeros(n, dtype=bool)
-        self.p_flag = np.zeros(vg.num_ports, dtype=bool)
+        self.p_flag = np.zeros(cg.num_ports, dtype=bool)
         self._pending = None
 
     def _step(self, rnd):
-        vg = self.vg
+        cg = self.cg
         if rnd % 2 == 0:
             # propose sub-round
             active = np.flatnonzero(
-                self.running & ~self.out_done & (self.cursor < vg.degrees)
+                self.running & ~self.out_done & (self.cursor < cg.degrees)
             )
-            sends = vg.offsets[active] + self.cursor[active]
+            sends = cg.offsets[active] + self.cursor[active]
             ok = self.deliver(rnd, sends)
             if self.record:
                 self.log_sends(sends, PAYLOAD_PROP, delivered=ok)
@@ -668,10 +669,10 @@ class VectorDoubleCover(VectorProgram):
             # respond sub-round: smallest pending port wins per node
             src = self._pending
             self._pending = None
-            targets = vg.mate[src]
+            targets = cg.mate[src]
             order = np.argsort(targets)
             tgs = targets[order]
-            tks = vg.port_node[tgs]
+            tks = cg.port_node[tgs]
             first = np.ones(len(tgs), dtype=bool)
             first[1:] = tks[1:] != tks[:-1]
             acc = first & ~self.accepted_in[tks]
@@ -686,13 +687,13 @@ class VectorDoubleCover(VectorProgram):
             )
             sorted_src = src[order]
             acc_src = sorted_src[acc & delivered]
-            acc_prop = vg.port_node[acc_src]
+            acc_prop = cg.port_node[acc_src]
             self.p_flag[acc_src] = True
             self.out_done[acc_prop] = True
-            rej_prop = vg.port_node[sorted_src[~acc & delivered]]
+            rej_prop = cg.port_node[sorted_src[~acc & delivered]]
             self.cursor[rej_prop] += 1
             self.out_done[rej_prop] |= (
-                self.cursor[rej_prop] >= vg.degrees[rej_prop]
+                self.cursor[rej_prop] >= cg.degrees[rej_prop]
             )
         if rnd + 1 >= 2 * self.delta:
             ks = np.flatnonzero(self.running)
@@ -721,28 +722,27 @@ class VectorGreedyMatchingIds(VectorProgram):
         cg = self.cg
         # OverflowError here (id beyond int64) aborts vectorisation.
         self.uid = np.array([ids[v] for v in cg.nodes], dtype=np.int64)
-        vg = self.vg
         self.nid = (
-            self.uid[vg.peer_node]
-            if vg.num_nodes
+            self.uid[cg.peer_node]
+            if cg.num_nodes
             else np.zeros(0, dtype=np.int64)
         )
-        n = vg.num_nodes
+        n = cg.num_nodes
         self.proposed = np.full(n, -1, dtype=np.int64)  # gport or -1
         self.accepted = np.full(n, -1, dtype=np.int64)  # local port or -1
         self._pending = None
 
     def _step(self, rnd):
-        vg = self.vg
+        cg = self.cg
         running = self.running
         if rnd == 0:
-            sends = vg.all_ports  # id exchange: nobody halted yet
+            sends = cg.all_ports  # id exchange: nobody halted yet
             ok = self.deliver(rnd, sends)
             if self.record:
                 self.log_sends(
                     sends,
                     PAYLOAD_ID,
-                    a=self.uid[vg.port_node],
+                    a=self.uid[cg.port_node],
                     delivered=ok,
                 )
             return
@@ -750,24 +750,24 @@ class VectorGreedyMatchingIds(VectorProgram):
         if phase == 0:
             # status broadcast; running nodes keep addressing halted
             # neighbours, so this is where sends drop.
-            sends = np.flatnonzero(running[vg.port_node])
+            sends = np.flatnonzero(running[cg.port_node])
             ok = self.deliver(rnd, sends)
             if self.record:
                 self.log_sends(sends, PAYLOAD_ALIVE, delivered=ok)
             # a port hears "alive" iff its peer's owner is running
-            alive = running[vg.peer_node]
+            alive = running[cg.peer_node]
             key = np.where(alive, self.nid, _INF)
-            min_id = vg.segment_min(key, _INF)
-            has_alive = vg.segment_min(
+            min_id = cg.segment_min(key, _INF)
+            has_alive = cg.segment_min(
                 np.where(alive, 0, 1).astype(np.int64), 1
             ) == 0
             finished = running & ~has_alive
             candidates = np.where(
-                alive & (self.nid == min_id[vg.port_node]),
-                vg.all_ports,
+                alive & (self.nid == min_id[cg.port_node]),
+                cg.all_ports,
                 _INF,
             )
-            best = vg.segment_min(candidates, _INF)
+            best = cg.segment_min(candidates, _INF)
             proposers = running & has_alive & (min_id < self.uid)
             self.proposed[:] = -1
             self.proposed[proposers] = best[proposers]
@@ -787,12 +787,12 @@ class VectorGreedyMatchingIds(VectorProgram):
         else:
             src = self._pending
             self._pending = None
-            targets = vg.mate[src]
-            responders = vg.port_node[targets]
-            proposer_uid = self.uid[vg.port_node[src]]
+            targets = cg.mate[src]
+            responders = cg.port_node[targets]
+            proposer_uid = self.uid[cg.port_node[src]]
             # replies per responder, proposals ordered by (uid, port)
             order = np.lexsort(
-                (vg.local[targets], proposer_uid, responders)
+                (cg.local[targets], proposer_uid, responders)
             )
             tgs = targets[order]
             tks = responders[order]
@@ -805,21 +805,21 @@ class VectorGreedyMatchingIds(VectorProgram):
                 self.log_sends(tgs, codes, delivered=ok)
             winners = tgs[acc]
             acceptors = tks[acc]
-            self.accepted[acceptors] = vg.local[winners]
+            self.accepted[acceptors] = cg.local[winners]
             delivered = (
                 ok if ok is not None else np.ones(len(tgs), dtype=bool)
             )
             sorted_src = src[order]
             matched_src = sorted_src[acc & delivered]
-            matched = vg.port_node[matched_src]
+            matched = cg.port_node[matched_src]
             halting = np.concatenate([acceptors, matched])
             out_port = np.concatenate(
-                [vg.local[winners], vg.local[matched_src]]
+                [cg.local[winners], cg.local[matched_src]]
             )
             by_node = np.argsort(halting)
             halting = halting[by_node]
             out_port = out_port[by_node]
             if len(halting):
-                self.out_mask[vg.offsets[halting] + out_port - 1] = True
+                self.out_mask[cg.offsets[halting] + out_port - 1] = True
                 self.halt_nodes(halting)
             self.proposed[:] = -1

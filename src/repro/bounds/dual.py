@@ -40,7 +40,7 @@ from repro.bounds.result import (
     CoverValues,
     matching_mask,
 )
-from repro.eds.properties import undominated_ports
+from repro.eds.properties import covered_nodes, undominated_ports
 from repro.exceptions import CertificateError
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import PortEdge
@@ -52,15 +52,14 @@ def _mw_cover(graph: PortNumberedGraph) -> CoverCertificate:
     """The MW solve of the vertex cover LP (width-2 constraints, one
     per edge); isolated nodes carry no constraint and get ``y = 0``."""
     cg = graph.compiled()
-    vg = cg.vector()
-    lo = vg.lower_ports
-    members = np.stack([vg.port_node[lo], vg.peer_node[lo]], axis=1)
+    lo = cg.lower_ports
+    members = np.stack([cg.port_node[lo], cg.peer_node[lo]], axis=1)
     start = Fraction(1, 4)
     numerators = covering_numerators(
-        vg.num_nodes, members.reshape(-1), np.full(len(lo), 2),
+        cg.num_nodes, members.reshape(-1), np.full(len(lo), 2),
         start=start, phases=2,
     )
-    numerators[vg.degrees == 0] = 0
+    numerators[cg.degrees == 0] = 0
     return CoverCertificate(
         values=CoverValues(cg, numerators, start.denominator)
     )
@@ -73,18 +72,16 @@ def matching_cover(
     ``y`` in halves, 1 on every matched node plus 1 on every matched
     node with an unmatched neighbour."""
     cg = graph.compiled()
-    vg = cg.vector()
     mask = matching_mask(cg, matching)
-    missed = undominated_ports(vg, mask)
+    matched = covered_nodes(cg, mask)
+    missed = undominated_ports(cg, matched)
     if missed.size:
         raise CertificateError(
             f"matching is not maximal: edge {cg.edge(int(missed[0]))!r} "
             "is uncovered"
         )
-    matched = np.zeros(vg.num_nodes, dtype=bool)
-    matched[vg.port_node[mask]] = True
-    raised = np.zeros(vg.num_nodes, dtype=bool)
-    raised[vg.port_node[matched[vg.port_node] & ~matched[vg.peer_node]]] = True
+    raised = np.zeros(cg.num_nodes, dtype=bool)
+    raised[cg.port_node[matched[cg.port_node] & ~matched[cg.peer_node]]] = True
     halves = matched.astype(np.int64) + raised
     return CoverCertificate(values=CoverValues(cg, halves, 2))
 

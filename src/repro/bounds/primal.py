@@ -10,10 +10,10 @@ odd cycles — that only costs tightness, never soundness: whatever the
 search returns is a genuine matching, and augmenting preserves
 maximality because the matched vertex set only ever grows.
 
-Everything runs on the compiled CSR arrays (``graph.compiled().
-vector()``); no :class:`~repro.portgraph.ports.PortEdge` is built.
-Edge ``e`` is the edge at global port ``lower_ports[e]``, which is the
-graph's canonical ``edges`` order.  The greedy phase is the
+Everything runs on the compiled CSR arrays (``graph.compiled()``); no
+:class:`~repro.portgraph.ports.PortEdge` is built.  Edge ``e`` is the
+edge at global port ``lower_ports[e]``, which is the graph's canonical
+``edges`` order.  The greedy phase is the
 parallel-rounds greedy of Blelloch, Fineman and Shun ("Greedy
 sequential maximal independent set and matching are parallel on
 average", SPAA 2012): in each round every live edge whose rank is the
@@ -59,7 +59,7 @@ DEFAULT_PASSES = 4
 _NO_RANK = np.iinfo(np.int64).max
 
 
-def _greedy(vg, lo, hi, order: np.ndarray) -> np.ndarray:
+def _greedy(cg, lo, hi, order: np.ndarray) -> np.ndarray:
     """Greedy maximal matching over *order* by parallel rounds.
 
     Returns the node → matched-edge table (``-1`` for free nodes).
@@ -67,14 +67,14 @@ def _greedy(vg, lo, hi, order: np.ndarray) -> np.ndarray:
     m = len(lo)
     rank = np.empty(m, dtype=np.int64)
     rank[order] = np.arange(m, dtype=np.int64)
-    a, b = vg.port_node[lo], vg.port_node[hi]
-    port_rank = np.full(vg.num_ports, _NO_RANK, dtype=np.int64)
+    a, b = cg.port_node[lo], cg.port_node[hi]
+    port_rank = np.full(cg.num_ports, _NO_RANK, dtype=np.int64)
     port_rank[lo] = rank
     port_rank[hi] = rank
-    match_edge = np.full(vg.num_nodes, -1, dtype=np.int64)
+    match_edge = np.full(cg.num_nodes, -1, dtype=np.int64)
     live = np.arange(m, dtype=np.int64)
     while live.size:
-        low = vg.segment_min(port_rank)
+        low = cg.segment_min(port_rank)
         r, la, lb = rank[live], a[live], b[live]
         won = live[(low[la] == r) & (low[lb] == r)]
         match_edge[a[won]] = won
@@ -87,29 +87,29 @@ def _greedy(vg, lo, hi, order: np.ndarray) -> np.ndarray:
     return match_edge
 
 
-def _adjacency(vg, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def _adjacency(cg, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Per-node neighbour and edge-index lists laid out on the port
     offsets, each node's run sorted by edge index: the search scans a
     node's edges in canonical edge order, not port order."""
-    edge_of = np.empty(vg.num_ports, dtype=np.int64)
+    edge_of = np.empty(cg.num_ports, dtype=np.int64)
     edge_of[lo] = np.arange(len(lo), dtype=np.int64)
     edge_of[hi] = edge_of[lo]
-    by_node = np.argsort(vg.port_node * len(lo) + edge_of)
-    return vg.peer_node[by_node], edge_of[by_node]
+    by_node = np.argsort(cg.port_node * len(lo) + edge_of)
+    return cg.peer_node[by_node], edge_of[by_node]
 
 
-def _augment(vg, lo, hi, match_edge, max_depth: int, passes: int) -> None:
+def _augment(cg, lo, hi, match_edge, max_depth: int, passes: int) -> None:
     """Depth-bounded augmenting-path passes, in place on *match_edge*."""
-    nbr_np, eid_np = _adjacency(vg, lo, hi)
-    a_np, b_np = vg.port_node[lo], vg.port_node[hi]
+    nbr_np, eid_np = _adjacency(cg, lo, hi)
+    a_np, b_np = cg.port_node[lo], cg.port_node[hi]
     matched = match_edge >= 0
-    partner_np = np.full(vg.num_nodes, -1, dtype=np.int64)
+    partner_np = np.full(cg.num_nodes, -1, dtype=np.int64)
     ends = match_edge[matched]
     # The far endpoint of a node's matched edge is a + b - node.
     partner_np[matched] = a_np[ends] + b_np[ends] - np.flatnonzero(matched)
     # memoryview indexing reads single ints without a boxed-list copy
     # of the tables.
-    off = memoryview(vg.offsets)
+    off = memoryview(cg.offsets)
     nbr, eid = memoryview(nbr_np), memoryview(eid_np)
     a, b = memoryview(a_np), memoryview(b_np)
     medge, partner = memoryview(match_edge), memoryview(partner_np)
@@ -138,8 +138,8 @@ def _augment(vg, lo, hi, match_edge, max_depth: int, passes: int) -> None:
 
     for _ in range(max(0, passes)):
         # The matched set only grows, so later passes need no other roots.
-        roots = np.flatnonzero((match_edge < 0) & (vg.degrees > 0))
-        visited = bytearray(vg.num_nodes)
+        roots = np.flatnonzero((match_edge < 0) & (cg.degrees > 0))
+        visited = bytearray(cg.num_nodes)
         augmented = False
         for root in roots.tolist():
             if partner[root] >= 0 or visited[root]:
@@ -176,18 +176,17 @@ def primal_matching(
     """
     graph.require_simple()
     cg = graph.compiled()
-    vg = cg.vector()
-    lo = vg.lower_ports
-    hi = vg.mate[lo]
+    lo = cg.lower_ports
+    hi = cg.mate[lo]
     # Shuffling an array('q') draws the same permutation as a list of
     # the same length, and numpy reads it without a copy.
     order = array("q", range(len(lo)))
     random.Random(seed).shuffle(order)
-    match_edge = _greedy(vg, lo, hi, np.frombuffer(order, dtype=np.int64))
+    match_edge = _greedy(cg, lo, hi, np.frombuffer(order, dtype=np.int64))
     del order
-    _augment(vg, lo, hi, match_edge, max_depth, passes)
+    _augment(cg, lo, hi, match_edge, max_depth, passes)
     chosen = match_edge[match_edge >= 0]  # each edge twice: harmless
-    mask = np.zeros(vg.num_ports, dtype=bool)
+    mask = np.zeros(cg.num_ports, dtype=bool)
     mask[lo[chosen]] = True
     mask[hi[chosen]] = True
     return PortMaskEdgeSet(cg, mask)

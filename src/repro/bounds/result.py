@@ -40,7 +40,7 @@ from typing import AbstractSet, Mapping, Union
 
 import numpy as np
 
-from repro.eds.properties import undominated_ports
+from repro.eds.properties import covered_nodes, undominated_ports
 from repro.exceptions import CertificateError
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node, PortEdge
@@ -216,9 +216,8 @@ def matching_mask(cg, edges: AbstractSet[PortEdge]) -> np.ndarray:
             )
         return mask
     mask = np.zeros(cg.num_ports, dtype=bool)
-    index, degrees, offsets, mate = (
-        cg.node_index, cg.degrees, cg.offsets, cg.mate
-    )
+    index = cg.node_index
+    offsets, degrees, mate, _ = cg.flat_lists()
     for e in edges:
         k, h = index.get(e.u), index.get(e.v)
         if (
@@ -235,22 +234,21 @@ def matching_mask(cg, edges: AbstractSet[PortEdge]) -> np.ndarray:
 
 def _check_matching(cg, cert: MatchingCertificate) -> int:
     """Re-prove the matching certificate; returns the certified ``|M|``."""
-    vg = cg.vector()
     mask = matching_mask(cg, cert.edges)
-    half = np.flatnonzero(mask != mask[vg.mate])
+    half = np.flatnonzero(mask != mask[cg.mate])
     if half.size:
         raise CertificateError(
             f"matching certificate selects one half of edge "
             f"{cg.edge(int(half[0]))!r}"
         )
     selected = np.flatnonzero(mask)
-    owner = vg.port_node[selected]
-    loops = selected[owner == vg.peer_node[selected]]
+    owner = cg.port_node[selected]
+    loops = selected[owner == cg.peer_node[selected]]
     if loops.size:
         raise CertificateError(
             f"matching certificate contains loop {cg.edge(int(loops[0]))!r}"
         )
-    per_node = np.bincount(owner, minlength=vg.num_nodes)
+    per_node = np.bincount(owner, minlength=cg.num_nodes)
     if (per_node > 1).any():
         # The second selected port of the first overloaded node.
         crowded = selected[per_node[owner] > 1]
@@ -259,7 +257,7 @@ def _check_matching(cg, cert: MatchingCertificate) -> int:
             f"matching certificate is not a matching at {cg.edge(g)!r}"
         )
     if cert.maximal:
-        missed = undominated_ports(vg, mask)
+        missed = undominated_ports(cg, covered_nodes(cg, mask))
         if missed.size:
             raise CertificateError(
                 f"matching certificate claims maximality but misses "
@@ -327,14 +325,13 @@ def _check_cover(cg, cert: CoverCertificate) -> int:
     magnitudes allow it and in Python ints otherwise.
     """
     y, lcd = _cover_numerators(cg, cert.values)
-    vg = cg.vector()
-    lo = vg.lower_ports
+    lo = cg.lower_ports
     infeasible = np.flatnonzero(
-        y[vg.port_node[lo]] + y[vg.peer_node[lo]] < lcd
+        y[cg.port_node[lo]] + y[cg.peer_node[lo]] < lcd
     )
     if infeasible.size:
         g = int(lo[infeasible[0]])
-        u, v = int(vg.port_node[g]), int(vg.peer_node[g])
+        u, v = int(cg.port_node[g]), int(cg.peer_node[g])
         raise CertificateError(
             f"cover certificate is infeasible at edge {cg.edge(g)!r}: "
             f"{Fraction(int(y[u]), lcd)} + {Fraction(int(y[v]), lcd)} < 1"

@@ -52,69 +52,46 @@ def undominated_edges(
     return frozenset(graph.edges) - dominated_edges(graph, dominating)
 
 
-def undominated_ports(vg, mask) -> np.ndarray:
-    """The global ports whose edge a consistent port mask leaves
-    undominated, ascending (*vg* is the graph's ``VectorGraph``).
-
-    The selected ports' owners are exactly the covered nodes (the mask
-    is consistent, so both ends of a selected edge are selected); every
-    port then needs a covered owner or a covered peer.
-    """
-    covered = np.zeros(vg.num_nodes, dtype=bool)
-    covered[vg.port_node[mask]] = True
-    return np.flatnonzero(~(covered[vg.port_node] | covered[vg.peer_node]))
+def covered_nodes(cg, mask) -> np.ndarray:
+    """The nodes a consistent port mask over *cg* covers: exactly the
+    owners of its selected ports (both ends of a selected edge are
+    selected)."""
+    covered = np.zeros(cg.num_nodes, dtype=bool)
+    covered[cg.port_node[mask]] = True
+    return covered
 
 
-def _is_eds_mask(graph: PortNumberedGraph, dominating: PortMaskEdgeSet):
-    """Feasibility of a vector-engine port mask on its own graph, or ``None``."""
-    if dominating.cg is not getattr(graph, "_compiled", None):
-        return None
-    return not undominated_ports(dominating.cg.vector(), dominating.mask).size
-
-
-def _is_eds_arrays(graph: PortNumberedGraph, dominating: Iterable[PortEdge]):
-    """Array fast path for :func:`is_edge_dominating_set`, or ``None``.
-
-    Engages only when the graph's compiled arrays already exist (the
-    direct-to-CSR generators build them up front; dict-built graphs get
-    them after the first simulation) — feasibility then costs two
-    gathers and an OR over the port arrays instead of materialising
-    every :class:`PortEdge`.  Semantics match the set-based
-    check exactly: an edge is dominated iff one of its endpoints is an
-    endpoint of some dominating edge (dominating edges whose endpoints
-    are not graph nodes cover nothing, as in the set version, where a
-    foreign endpoint never intersects a graph edge).
-    """
-    compiled = getattr(graph, "_compiled", None)
-    if compiled is None:
-        return None
-    if compiled.num_ports == 0:
-        return True  # no edges: everything (vacuously) dominated
-    covered = np.zeros(compiled.num_nodes, dtype=bool)
-    index = compiled.node_index
-    for e in dominating:
-        for v in e.endpoints:
-            k = index.get(v)
-            if k is not None:
-                covered[k] = True
-    port_node = np.frombuffer(compiled.port_node, dtype=np.int64)
-    mate = np.frombuffer(compiled.mate, dtype=np.int64)
-    owner = covered[port_node]
-    return bool((owner | owner[mate]).all())
+def undominated_ports(cg, covered) -> np.ndarray:
+    """The global ports of compiled graph *cg* whose edge has neither
+    end in the node vector *covered*, ascending."""
+    return np.flatnonzero(~(covered[cg.port_node] | covered[cg.peer_node]))
 
 
 def is_edge_dominating_set(
     graph: PortNumberedGraph, dominating: Iterable[PortEdge]
 ) -> bool:
-    """True when every edge of *graph* is dominated (paper §1.1)."""
-    if isinstance(dominating, PortMaskEdgeSet):
-        fast = _is_eds_mask(graph, dominating)
-        if fast is not None:
-            return fast
-    fast = _is_eds_arrays(graph, dominating)
-    if fast is not None:
-        return fast
-    return not undominated_edges(graph, dominating)
+    """True when every edge of *graph* is dominated (paper §1.1).
+
+    One array check over the compiled graph: an edge is dominated iff
+    one of its endpoints is an endpoint of some dominating edge.  A
+    :class:`PortMaskEdgeSet` of this graph covers the owners of its
+    selected ports; any other set (a mask of another graph included)
+    covers the endpoints of its edges, and endpoints that are not graph
+    nodes cover nothing — as in :func:`undominated_edges`, where a
+    foreign endpoint never meets a graph edge.
+    """
+    cg = graph.compiled()
+    if isinstance(dominating, PortMaskEdgeSet) and dominating.cg is cg:
+        covered = covered_nodes(cg, dominating.mask)
+    else:
+        covered = np.zeros(cg.num_nodes, dtype=bool)
+        index = cg.node_index
+        for e in dominating:
+            for v in e.endpoints:
+                k = index.get(v)
+                if k is not None:
+                    covered[k] = True
+    return not undominated_ports(cg, covered).size
 
 
 def domination_deficiency(

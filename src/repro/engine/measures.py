@@ -93,10 +93,9 @@ def default_execute(measure: Measure, spec: JobSpec, key: str) -> ResultRecord:
     """
     # ``graph_build`` keeps only coordination self-time: the generator
     # runs under the ``graph_build:generate`` child, and the lowering
-    # steps triggered later (``graph_build:compile`` in
-    # ``PortNumberedGraph.compiled``, ``graph_build:vector_view`` in
-    # ``CompiledGraph.vector``) record themselves wherever they fire, so
-    # the phase table pins exactly which build stage dominates.  On the
+    # triggered later (``graph_build:compile`` in
+    # ``PortNumberedGraph.compiled``) records itself wherever it fires,
+    # so the phase table pins exactly which build stage dominates.  On the
     # direct-to-CSR path the generator emits compiled arrays itself, so
     # ``generate`` covers the array synthesis and ``compile`` never
     # fires; the span is tagged ``direct`` so the report can tell the

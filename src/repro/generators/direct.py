@@ -26,8 +26,9 @@ replicating two conventions of the dict path:
 from __future__ import annotations
 
 import random
-from array import array
 from typing import Sequence
+
+import numpy as np
 
 from repro.portgraph.arrays import ArrayGraph
 from repro.portgraph.ports import Node
@@ -93,10 +94,10 @@ def from_neighbour_lists(
 
     return ArrayGraph(
         tuple(order),
-        tuple(len(ordered[v]) for v in order),
-        array("q", offsets),
-        array("q", mate),
-        array("q", port_node),
+        np.array([len(ordered[v]) for v in order], dtype=np.int64),
+        np.array(offsets, dtype=np.int64),
+        np.array(mate, dtype=np.int64),
+        np.array(port_node, dtype=np.int64),
         validate=False,
     )
 

@@ -32,7 +32,6 @@ exact uniform sampler ``nx.random_regular_graph`` implements.  The
 from __future__ import annotations
 
 import random
-from array import array
 from collections import deque
 
 import numpy as np
@@ -161,11 +160,11 @@ def pairing_regular(d: int, n: int, *, seed: int = 0) -> ArrayGraph:
             f"{_MAX_RESTARTS} redraws"
         )
 
-    offsets = array("q", range(0, total + d, d)) if n else array("q", [0])
-    mate_q = array("q")
-    mate_q.frombytes(mate.tobytes())
-    port_node = array("q")
-    port_node.frombytes((np.arange(total, dtype=np.int64) // d).tobytes())
     return ArrayGraph(
-        range(n), (d,) * n, offsets, mate_q, port_node, validate=False
+        range(n),
+        np.full(n, d, dtype=np.int64),
+        np.arange(0, total + 1, d, dtype=np.int64),
+        mate,
+        np.arange(total, dtype=np.int64) // d,
+        validate=False,
     )

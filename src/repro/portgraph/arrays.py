@@ -4,15 +4,18 @@
 built *from* the compiled CSR arrays instead of lowering *to* them: a
 generator that already knows the flat layout (the structured families in
 :mod:`repro.generators.direct`, the pairing-model ``pairing_regular``)
-hands over ``offsets``/``mate``/``port_node`` and skips both the
-``dict[Port, Port]`` involution walk and ``CompiledGraph.__init__``.
+hands over ``offsets``/``mate``/``port_node`` as ``np.int64`` arrays,
+which become the compiled graph's read-only tables as they are, and
+skips both the ``dict[Port, Port]`` involution walk and
+``CompiledGraph.__init__``.
 
 The dict views of the base class (``_degrees``, ``_p``, the edge tuple)
 still exist — they materialise lazily on first touch via ``__getattr__``
 (an unset ``__slots__`` descriptor raises ``AttributeError``, which is
 exactly the hook).  Code that only needs the hot accessors — ``degree``,
 ``connection``, ``edge_at``, ``edges`` counts, regularity — is served
-straight from the arrays, so a million-node graph never pays for the
+from the compiled form (whole-array reductions, or scalar reads from
+its memoised list copies), so a million-node graph never pays for the
 per-port tuple dictionaries unless something genuinely asks for them.
 
 Node order is the *builder's* construction order (``nodes`` as passed),
@@ -24,7 +27,6 @@ stub layout itself.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -35,13 +37,6 @@ from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node, Port, PortEdge
 
 __all__ = ["ArrayGraph"]
-
-
-def _as_q(values) -> array:
-    """Coerce to the ``array('q')`` form the compiled contract requires."""
-    if isinstance(values, array) and values.typecode == "q":
-        return values
-    return array("q", values)
 
 
 class ArrayGraph(PortNumberedGraph):
@@ -56,7 +51,8 @@ class ArrayGraph(PortNumberedGraph):
         ``degrees[k]`` — degree of node ``k``.
     offsets, mate, port_node:
         The compiled layout (see :class:`~repro.portgraph.compiled.
-        CompiledGraph`); anything convertible to ``array('q')``.
+        CompiledGraph`); anything convertible to an ``np.int64`` array.
+        An owned ``int64`` ndarray is adopted and frozen, not copied.
     validate:
         Check structural validity (CSR consistency, involution).  On by
         default; builders that construct provably valid arrays pass
@@ -68,7 +64,7 @@ class ArrayGraph(PortNumberedGraph):
     def __init__(
         self,
         nodes: Sequence[Node],
-        degrees: Sequence[int],
+        degrees,
         offsets,
         mate,
         port_node,
@@ -76,17 +72,13 @@ class ArrayGraph(PortNumberedGraph):
         validate: bool = True,
     ) -> None:
         nodes = tuple(nodes)
-        degrees = tuple(degrees)
-        offsets = _as_q(offsets)
-        mate = _as_q(mate)
-        port_node = _as_q(port_node)
-        if validate:
-            _validate_arrays(nodes, degrees, offsets, mate, port_node)
         self._nodes = nodes
         self._hash = None
-        self._compiled = CompiledGraph.from_arrays(
-            self, nodes, degrees, offsets, mate, port_node
+        self._compiled = cg = CompiledGraph.from_arrays(
+            nodes, degrees, offsets, mate, port_node
         )
+        if validate:
+            _validate_arrays(cg)
         # ``_degrees``, ``_p``, ``_edges`` and ``_edge_at`` stay unset:
         # ``__getattr__`` materialises them on first touch.
 
@@ -96,7 +88,7 @@ class ArrayGraph(PortNumberedGraph):
 
     def __getattr__(self, name: str):
         if name == "_degrees":
-            value = dict(zip(self._nodes, self._compiled.degrees))
+            value = self.degrees
             self._degrees = value
             return value
         if name == "_p":
@@ -118,17 +110,11 @@ class ArrayGraph(PortNumberedGraph):
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
 
-    def _port_of(self, g: int) -> Port:
-        cg = self._compiled
-        k = cg.port_node[g]
-        return (cg.nodes[k], g - cg.offsets[k] + 1)
-
     def _materialise_involution(self) -> dict[Port, Port]:
         cg = self._compiled
-        port_of = self._port_of
-        return {
-            port_of(g): port_of(cg.mate[g]) for g in range(cg.num_ports)
-        }
+        port = cg.port
+        mate = cg.flat_lists()[2]
+        return {port(g): port(mate[g]) for g in range(cg.num_ports)}
 
     def _iter_array_edges(self) -> Iterator[PortEdge]:
         """Edges in construction (global-port) order.
@@ -138,13 +124,13 @@ class ArrayGraph(PortNumberedGraph):
         byte-identical to the dict-built graph's.
         """
         cg = self._compiled
-        mate = cg.mate
-        port_of = self._port_of
+        port = cg.port
+        mate = cg.flat_lists()[2]
         for g in range(cg.num_ports):
             m = mate[g]
             if m < g:
                 continue
-            (u, i), (v, j) = port_of(g), port_of(m)
+            (u, i), (v, j) = port(g), port(m)
             yield PortEdge.make(u, i, v, j)
 
     # ------------------------------------------------------------------
@@ -153,43 +139,36 @@ class ArrayGraph(PortNumberedGraph):
 
     @property
     def num_edges(self) -> int:
-        cg = self._compiled
-        try:
-            return cg.memo["num_edges"]
-        except KeyError:
-            pass
         # Each involution orbit of size two is one edge on two ports; a
         # fixed point (directed loop) is one edge on one port.
-        arange = np.arange(cg.num_ports, dtype=np.int64)
-        fixed = int((np.frombuffer(cg.mate, dtype=np.int64) == arange).sum())
-        value = (cg.num_ports + fixed) // 2
-        cg.memo["num_edges"] = value
-        return value
+        cg = self._compiled
+        return (cg.num_ports + cg.fixed_ports.size) // 2
 
     def degree(self, node: Node) -> int:
         cg = self._compiled
-        return cg.degrees[cg.node_index[node]]
+        return cg.flat_lists()[1][cg.node_index[node]]
 
     @property
     def degrees(self) -> Mapping[Node, int]:
-        return dict(zip(self._nodes, self._compiled.degrees))
+        return dict(zip(self._nodes, self._compiled.degrees.tolist()))
 
     def ports(self, node: Node) -> range:
         return range(1, self.degree(node) + 1)
 
     def connection(self, node: Node, port: int) -> Port:
         cg = self._compiled
+        offsets, degrees, mate, _ = cg.flat_lists()
         try:
             k = cg.node_index[node]
         except KeyError:
             raise KeyError(
                 f"({node!r}, {port}) is not a port of the graph"
             ) from None
-        if not 1 <= port <= cg.degrees[k]:
+        if not 1 <= port <= degrees[k]:
             raise KeyError(
                 f"({node!r}, {port}) is not a port of the graph"
             )
-        return self._port_of(cg.mate[cg.offsets[k] + port - 1])
+        return cg.port(mate[offsets[k] + port - 1])
 
     @property
     def involution(self) -> Mapping[Port, Port]:
@@ -200,45 +179,15 @@ class ArrayGraph(PortNumberedGraph):
         return PortEdge.make(node, port, u, j)
 
     def regularity(self) -> int | None:
-        distinct = set(self._compiled.degrees)
-        if len(distinct) == 1:
-            return next(iter(distinct))
+        degrees = self._compiled.degrees
+        if degrees.size and bool((degrees == degrees[0]).all()):
+            return int(degrees[0])
         return None
 
     @property
     def max_degree(self) -> int:
-        cg = self._compiled
-        try:
-            return cg.memo["max_degree"]
-        except KeyError:
-            value = max(cg.degrees, default=0)
-            cg.memo["max_degree"] = value
-            return value
-
-    def is_simple(self) -> bool:
-        cg = self._compiled
-        try:
-            return cg.memo["is_simple"]
-        except KeyError:
-            pass
-        value = self._compute_is_simple()
-        cg.memo["is_simple"] = value
-        return value
-
-    def _compute_is_simple(self) -> bool:
-        cg = self._compiled
-        if not cg.num_ports:
-            return True
-        mate = np.frombuffer(cg.mate, dtype=np.int64)
-        owner = np.frombuffer(cg.port_node, dtype=np.int64)
-        peer = owner[mate]
-        if bool((peer == owner).any()):
-            return False  # loop (directed or undirected)
-        # Parallel edges: some node lists the same neighbour twice.  The
-        # keys arrive sorted by owner, so sorting them is cheap; np.unique
-        # hashes instead and is far slower on millions of ports.
-        key = np.sort(owner * cg.num_nodes + peer)
-        return not bool((key[1:] == key[:-1]).any())
+        degrees = self._compiled.degrees
+        return int(degrees.max()) if degrees.size else 0
 
     # ------------------------------------------------------------------
     # Compiled form / pickling
@@ -262,31 +211,30 @@ class ArrayGraph(PortNumberedGraph):
         )
 
 
-def _validate_arrays(
-    nodes: tuple,
-    degrees: tuple,
-    offsets: array,
-    mate: array,
-    port_node: array,
-) -> None:
+def _validate_arrays(cg: CompiledGraph) -> None:
+    nodes, degrees, offsets = cg.nodes, cg.degrees, cg.offsets
+    mate, port_node = cg.mate, cg.port_node
     n = len(nodes)
-    if len(set(nodes)) != n:
+    if len(cg.node_index) != n:
         raise PortNumberingError("duplicate node labels")
     if len(degrees) != n or len(offsets) != n + 1 or offsets[0] != 0:
         raise PortNumberingError(
             f"CSR shape mismatch: {n} nodes, {len(degrees)} degrees, "
             f"{len(offsets)} offsets"
         )
-    for k in range(n):
+    # The first node whose degree is negative or disagrees with its
+    # offsets, reported as the per-node walk would.
+    bad = np.flatnonzero((degrees < 0) | (np.diff(offsets) != degrees))
+    if bad.size:
+        k = int(bad[0])
         if degrees[k] < 0:
             raise PortNumberingError(
-                f"node {nodes[k]!r} has negative degree {degrees[k]}"
+                f"node {nodes[k]!r} has negative degree {int(degrees[k])}"
             )
-        if offsets[k + 1] - offsets[k] != degrees[k]:
-            raise PortNumberingError(
-                f"offsets do not match degrees at node index {k}"
-            )
-    total = offsets[n]
+        raise PortNumberingError(
+            f"offsets do not match degrees at node index {k}"
+        )
+    total = cg.num_ports
     if len(mate) != total or len(port_node) != total:
         raise PortNumberingError(
             f"expected {total} ports, got len(mate)={len(mate)} "
@@ -294,14 +242,10 @@ def _validate_arrays(
         )
     if not total:
         return
-    mate_np = np.frombuffer(mate, dtype=np.int64)
-    owner_np = np.frombuffer(port_node, dtype=np.int64)
-    offs = np.frombuffer(offsets, dtype=np.int64)
-    expected_owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
-    if not np.array_equal(owner_np, expected_owner):
+    expected_owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    if not np.array_equal(port_node, expected_owner):
         raise PortNumberingError("port_node does not match offsets")
-    if mate_np.min() < 0 or mate_np.max() >= total:
+    if mate.min() < 0 or mate.max() >= total:
         raise InvolutionError("mate index out of range")
-    arange = np.arange(total, dtype=np.int64)
-    if not np.array_equal(mate_np[mate_np], arange):
+    if not np.array_equal(mate[mate], cg.all_ports):
         raise InvolutionError("mate is not an involution")

@@ -207,16 +207,12 @@ class PortNumberedGraph:
     # ------------------------------------------------------------------
 
     def is_simple(self) -> bool:
-        """True when there are no loops and no parallel edges."""
-        seen_pairs: set[frozenset[Node]] = set()
-        for edge in self._edges:
-            if edge.is_loop:
-                return False
-            pair = edge.endpoints
-            if pair in seen_pairs:
-                return False
-            seen_pairs.add(pair)
-        return True
+        """True when there are no loops and no parallel edges.
+
+        One array pass over the compiled form, memoised there
+        (:meth:`~repro.portgraph.compiled.CompiledGraph.is_simple`).
+        """
+        return self.compiled().is_simple()
 
     def require_simple(self) -> None:
         """Raise :class:`NotSimpleGraphError` unless the graph is simple."""

@@ -87,9 +87,7 @@ def views_at_depth(
     # tuple-hash dict lookup.  Signatures are unchanged, so ids stay
     # compatible across interners fed by either representation.
     cg = graph.compiled()
-    mate, port_node = cg.flat_lists()
-    offsets = cg.offsets
-    degrees = cg.degrees
+    offsets, degrees, mate, port_node = cg.flat_lists()
     intern = interner.intern
     peer_label = cg.peer_local_list()
     current = [intern(("leaf", degree)) for degree in degrees]

@@ -72,7 +72,7 @@ def check_mask_consistency(cg, mask) -> None:
     Raises the same message, naming the first selected port (in global
     port order) whose mate is not selected.
     """
-    mate = cg.vector().mate
+    mate = cg.mate
     mate_bits = mask[mate]
     if np.array_equal(mask, mate_bits):
         return
@@ -151,7 +151,7 @@ class PortMaskEdgeSet(SetABC):
         self.cg = cg
         self.mask = mask
         # Every edge has two selected ports except a directed loop.
-        fixed = cg.vector().fixed_ports
+        fixed = cg.fixed_ports
         ports = int(np.count_nonzero(mask))
         self._len = (ports + int(np.count_nonzero(mask[fixed]))) // 2
         self._edges: frozenset[PortEdge] | None = None
@@ -161,17 +161,17 @@ class PortMaskEdgeSet(SetABC):
 
     def _materialise(self) -> frozenset[PortEdge]:
         if self._edges is None:
-            vg = self.cg.vector()
-            g = np.flatnonzero(self.mask & (vg.all_ports <= vg.mate))
-            h = vg.mate[g]
-            nodes = self.cg.nodes
+            cg = self.cg
+            g = np.flatnonzero(self.mask & (cg.all_ports <= cg.mate))
+            h = cg.mate[g]
+            nodes = cg.nodes
             self._edges = frozenset(
                 PortEdge(nodes[a], i, nodes[b], j)
                 for a, i, b, j in zip(
-                    vg.port_node[g].tolist(),
-                    vg.local[g].tolist(),
-                    vg.port_node[h].tolist(),
-                    vg.local[h].tolist(),
+                    cg.port_node[g].tolist(),
+                    cg.local[g].tolist(),
+                    cg.port_node[h].tolist(),
+                    cg.local[h].tolist(),
                 )
             )
         return self._edges
@@ -188,7 +188,7 @@ class PortMaskEdgeSet(SetABC):
             return False
         g = cg.gport(k, edge.i)
         return bool(self.mask[g]) and (
-            cg.port(cg.mate[g]) == (edge.v, edge.j)
+            cg.port(int(cg.mate[g])) == (edge.v, edge.j)
         )
 
     def __hash__(self) -> int:

@@ -23,10 +23,10 @@ Three engines share the public entry points:
   Algorithms without a vector kernel (the randomised algorithms,
   ``forest_dds``, ``greedy_mds_line``, plugins) run through their node
   programs on the ``"pernode"`` loop instead;
-* ``"pernode"`` — the node programs over the graph's **compiled
-  flat-array form**
-  (:meth:`~repro.portgraph.graph.PortNumberedGraph.compiled`): routing
-  is one read of the flat involution array, the delivery order is the
+* ``"pernode"`` — the node programs over the graph's **compiled CSR
+  form** (:meth:`~repro.portgraph.graph.PortNumberedGraph.compiled`,
+  read through its memoised plain-list copies): routing is one read of
+  the flat involution list, the delivery order is the
   graph's own construction order, per-node inbox mappings are
   preallocated once and reused across rounds, and traces are
   reconstructed from a flat log after the run;
@@ -159,9 +159,11 @@ def _execute(
     record_trace: bool,
     strict_delivery: bool = False,
 ) -> RunResult:
-    """The pernode round loop over the compiled flat arrays.
+    """The pernode round loop over the compiled CSR tables.
 
-    Routing runs over the flat arrays of the compiled graph; the only
+    Routing runs over the plain-list copies of the compiled graph's
+    tables (:meth:`~repro.portgraph.compiled.CompiledGraph.flat_lists`:
+    list indexing yields Python ints without boxing); the only
     per-round allocations are the messages themselves.  Inbox mappings
     are preallocated per node and reused — they are cleared after each
     round's delivery, so programs must copy anything they want to keep
@@ -171,10 +173,7 @@ def _execute(
     nodes = cg.nodes
     n = cg.num_nodes
     progs = [programs[v] for v in nodes]
-    degrees = cg.degrees
-    offsets = cg.offsets
-    mate = cg.mate
-    port_node = cg.port_node
+    offsets, degrees, mate, port_node = cg.flat_lists()
 
     running = bytearray(0 if prog.halted else 1 for prog in progs)
     num_running = sum(running)

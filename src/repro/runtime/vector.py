@@ -6,8 +6,8 @@ The pernode engine pays ``2·n`` method dispatches per round (one
 with no Python loop over nodes: per-node state lives in typed numpy
 arrays (struct-of-arrays), messages are gathered through the flat
 involution with one fancy-index, and each round is a handful of
-whole-graph array operations over a
-:class:`~repro.portgraph.vector.VectorGraph`.
+whole-graph array operations over the graph's compiled CSR tables
+(:class:`~repro.portgraph.compiled.CompiledGraph`).
 
 Observational identity with the node programs is the contract: same
 outputs, same round counts, and the same messages in the same
@@ -119,7 +119,6 @@ class VectorProgram(abc.ABC):
 
     __slots__ = (
         "cg",
-        "vg",
         "running",
         "num_running",
         "out_mask",
@@ -137,13 +136,11 @@ class VectorProgram(abc.ABC):
     def __init__(self, graph: PortNumberedGraph) -> None:
         cg = graph.compiled()
         self.cg = cg
-        vg = cg.vector()
-        self.vg = vg
         # Degree-0 nodes can never receive information: halted up front
         # with empty output (they own no ports), like the other engines.
-        self.running = vg.degrees > 0
+        self.running = cg.degrees > 0
         self.num_running = int(self.running.sum())
-        self.out_mask = np.zeros(vg.num_ports, dtype=bool)
+        self.out_mask = np.zeros(cg.num_ports, dtype=bool)
         self.newly_halted: list[int] = []
         self.record = False
         self.strict = False
@@ -189,17 +186,17 @@ class VectorProgram(abc.ABC):
             if self.collect:
                 self.delivered += n_sent
             return None
-        vg = self.vg
-        ok = self.running[vg.peer_node[gports]]
+        cg = self.cg
+        ok = self.running[cg.peer_node[gports]]
         n_ok = int(ok.sum())
         if n_ok != n_sent:
             if self.strict:
                 g = int(gports[~ok][0])
-                target = int(vg.mate[g])
-                nodes = self.cg.nodes
+                target = int(cg.mate[g])
+                nodes = cg.nodes
                 raise SimulationError(
-                    f"node {nodes[int(vg.port_node[g])]!r} sent to halted "
-                    f"node {nodes[int(vg.port_node[target])]!r} in round "
+                    f"node {nodes[int(cg.port_node[g])]!r} sent to halted "
+                    f"node {nodes[int(cg.port_node[target])]!r} in round "
                     f"{rnd} (strict_delivery is enabled)"
                 )
             self.dropped += n_sent - n_ok
@@ -229,9 +226,9 @@ class VectorProgram(abc.ABC):
 
     def ports_of(self, ks):
         """Per-port bool mask of the ports owned by the nodes *ks*."""
-        owned = np.zeros(self.vg.num_nodes, dtype=bool)
+        owned = np.zeros(self.cg.num_nodes, dtype=bool)
         owned[ks] = True
-        return owned[self.vg.port_node]
+        return owned[self.cg.port_node]
 
     # -- lazy trace --------------------------------------------------------
 
@@ -243,7 +240,7 @@ class VectorProgram(abc.ABC):
         one ``(messages, halted)`` pair per round with messages as
         ``(source_gport, target_gport, payload, dropped)`` tuples.
         """
-        mate = self.vg.mate
+        mate = self.cg.mate
         rounds_log = []
         for slabs, halted in zip(self._slabs, self._halted_log):
             messages: list[tuple[int, int, object, bool]] = []

@@ -330,7 +330,7 @@ class TestEdgeOrderPin:
     def test_lower_ports_follow_canonical_edges(self, name, make):
         g = make()
         cg = g.compiled()
-        lower = cg.vector().lower_ports.tolist()
+        lower = cg.lower_ports.tolist()
         assert [cg.edge(port) for port in lower] == list(g.edges), name
 
 
@@ -479,12 +479,12 @@ class TestVerifyRejectsCorruptArrays:
     def test_lowered_numerator(self):
         g, s = self._sandwich()
         values = s.certificate.cover.values
-        vg = values.cg.vector()
+        cg = values.cg
         y = values.numerators.copy()
         tight = np.flatnonzero(
-            y[vg.port_node] + y[vg.peer_node] == values.denominator
+            y[cg.port_node] + y[cg.peer_node] == values.denominator
         )[0]
-        y[vg.port_node[tight]] -= 1
+        y[cg.port_node[tight]] -= 1
         with pytest.raises(CertificateError, match="infeasible"):
             verify_certificate(g, self._cover_result(s, y))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import pickle
 from array import array
 
+import numpy as np
 import pytest
 
 import repro.registry.builtins  # noqa: F401  (populate the registry)
@@ -138,6 +139,8 @@ class TestStructuredFamilyByteIdentity:
         assert isinstance(clone, ArrayGraph)
         assert_graphs_byte_identical(clone, direct, "pickle round trip")
         assert clone == nx_forced(torus, (3, 5), 9)
+        # The unpickled tables are frozen again.
+        assert_frozen_csr(clone.compiled())
 
 
 class TestRecordAndKeyParity:
@@ -189,7 +192,7 @@ class TestArrayGraphValidation:
         c = graph.compiled()
         return (
             tuple(c.nodes),
-            tuple(c.graph.degrees[v] for v in c.nodes),
+            tuple(c.degrees.tolist()),
             array("q", c.offsets),
             array("q", c.mate),
             array("q", c.port_node),
@@ -309,6 +312,85 @@ class TestArrayGraphDegenerate:
         compiled = cycle(6).compiled()
         assert isinstance(compiled, CompiledGraph)
         assert "flat_lists" not in compiled.memo
-        mate, port_node = compiled.flat_lists()
-        assert mate == list(compiled.mate)
-        assert port_node == list(compiled.port_node)
+        offsets, degrees, mate, port_node = compiled.flat_lists()
+        assert offsets == compiled.offsets.tolist()
+        assert degrees == compiled.degrees.tolist()
+        assert mate == compiled.mate.tolist()
+        assert port_node == compiled.port_node.tolist()
+        assert compiled.flat_lists() is compiled.flat_lists()
+
+
+#: The four CSR tables and the derived per-port tables of a compiled graph.
+CSR_TABLES = ("offsets", "degrees", "mate", "port_node")
+DERIVED_TABLES = (
+    "local", "peer_node", "peer_local", "all_ports", "fixed_ports",
+    "lower_ports",
+)
+
+
+def assert_frozen_csr(cg):
+    for name in CSR_TABLES + DERIVED_TABLES:
+        table = getattr(cg, name)
+        assert isinstance(table, np.ndarray), name
+        assert table.dtype == np.int64, name
+        assert table.flags.c_contiguous, name
+        assert not table.flags.writeable, name
+        if table.size:
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+
+def boundary_graphs():
+    """One graph per construction path: dict-built (networkx), the
+    structured neighbour-list builder, and the pairing model."""
+    import networkx as nx
+
+    from repro.generators.direct import from_neighbour_lists
+    from repro.generators.pairing import pairing_regular
+    from repro.portgraph import from_networkx
+
+    return [
+        ("dict", from_networkx(nx.petersen_graph())),
+        ("neighbour_lists", from_neighbour_lists(
+            [(1, 2), (0, 2), (0, 1, 3), (2,)], seed=4
+        )),
+        ("pairing", pairing_regular(3, 10, seed=2)),
+    ]
+
+
+class TestCsrBoundary:
+    """The compiled form is one set of read-only int64 arrays, and every
+    scalar accessor still answers in Python ints."""
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_tables_are_read_only_int64(self, index):
+        name, graph = boundary_graphs()[index]
+        assert_frozen_csr(graph.compiled())
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_scalar_accessors_return_python_ints(self, index):
+        from repro.algorithms.port_one import PortOneEDS
+        from repro.runtime import run_anonymous
+
+        name, graph = boundary_graphs()[index]
+        cg = graph.compiled()
+        for k, v in enumerate(cg.nodes):
+            assert type(graph.degree(v)) is int, name
+            for port in graph.ports(v):
+                g = cg.gport(k, port)
+                assert type(g) is int, name
+                node, local = cg.port(g)
+                assert node == v and local == port and type(local) is int
+                edge = cg.edge(g)
+                assert type(edge.i) is int and type(edge.j) is int, name
+                u, j = graph.connection(v, port)
+                assert type(j) is int, name
+        assert all(type(d) is int for d in graph.degrees.values()), name
+        assert type(graph.max_degree) is int, name
+        regularity = graph.regularity()
+        assert regularity is None or type(regularity) is int, name
+        assert type(graph.num_edges) is int, name
+        assert type(cg.num_ports) is int, name
+        outputs = run_anonymous(graph, PortOneEDS, engine="vector").outputs
+        for v in graph.nodes:
+            assert all(type(i) is int for i in outputs[v]), name

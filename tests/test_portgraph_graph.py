@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import (
     InvolutionError,
@@ -232,3 +233,70 @@ def test_connection_symmetry(g: PortNumberedGraph):
         for i in g.ports(v):
             u, j = g.connection(v, i)
             assert g.connection(u, j) == (v, i)
+
+
+def edge_walk_is_simple(g: PortNumberedGraph) -> bool:
+    """Reference simplicity check: walk the edges, rejecting any loop
+    and any node pair joined twice."""
+    seen_pairs: set = set()
+    for edge in g.edges:
+        if edge.is_loop:
+            return False
+        if edge.endpoints in seen_pairs:
+            return False
+        seen_pairs.add(edge.endpoints)
+    return True
+
+
+@st.composite
+def multigraphs(draw) -> PortNumberedGraph:
+    """A random simple port graph plus a few undirected loops, directed
+    loops and parallel edges on fresh ports."""
+    base = draw(port_graphs(max_nodes=7))
+    degrees = dict(base.degrees)
+    involution = dict(base.involution)
+    nodes, edges = list(base.nodes), list(base.edges)
+    extras = draw(st.lists(
+        st.tuples(
+            st.sampled_from(("undirected_loop", "directed_loop", "parallel")),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        max_size=3,
+    ))
+
+    def fresh_port(v):
+        degrees[v] += 1
+        return (v, degrees[v])
+
+    for kind, pick in extras:
+        if kind == "parallel":
+            if not edges:
+                continue
+            u, v = tuple(edges[pick % len(edges)].endpoints)
+            a, b = fresh_port(u), fresh_port(v)
+            involution[a], involution[b] = b, a
+        elif nodes:
+            a = fresh_port(nodes[pick % len(nodes)])
+            if kind == "directed_loop":
+                involution[a] = a
+            else:
+                b = fresh_port(a[0])
+                involution[a], involution[b] = b, a
+    return PortNumberedGraph(degrees, involution)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=multigraphs())
+def test_is_simple_matches_edge_walk(g: PortNumberedGraph):
+    """The CSR check agrees with the edge walk on dict-built and
+    array-built forms of the same graph."""
+    from repro.portgraph.arrays import ArrayGraph
+
+    expected = edge_walk_is_simple(g)
+    assert g.is_simple() == expected
+    cg = g.compiled()
+    rebuilt = ArrayGraph(
+        cg.nodes, cg.degrees, cg.offsets, cg.mate, cg.port_node
+    )
+    assert rebuilt == g
+    assert rebuilt.is_simple() == expected

@@ -6,7 +6,7 @@ what the matrix cannot: the engine-selection contract — ``vector`` the
 default, ``auto`` its synonym, algorithms without a vector kernel
 running their node programs on the pernode loop (the node programs over
 the compiled flat arrays) without a log line — plus the vector-specific
-plumbing (memoised :class:`VectorGraph` views, lazy trace slabs,
+plumbing (the compiled graph's derived per-port tables, lazy trace slabs,
 telemetry annotations) and the port-mask solution type, differentially
 against the pernode engine on random port numberings, traces included.
 """
@@ -25,11 +25,7 @@ from repro.algorithms.double_cover import DominatingTwoMatching
 from repro.algorithms.maximal_matching_ids import GreedyMaximalMatchingIds
 from repro.algorithms.port_one import PortOneEDS
 from repro.algorithms.regular_odd import RegularOddEDS
-from repro.eds.properties import (
-    _is_eds_mask,
-    is_edge_dominating_set,
-    undominated_edges,
-)
+from repro.eds.properties import is_edge_dominating_set, undominated_edges
 from repro.exceptions import InconsistentOutputError, SimulationError
 from repro.portgraph import PortGraphBuilder
 from repro.registry.families import get_family
@@ -111,24 +107,32 @@ class TestSelectionContract:
 
 
 class TestVectorGraphView:
+    """The per-port tables the kernels read live on the compiled graph."""
+
     def test_memoised_on_compiled_graph(self):
         graph = small_regular()
         cg = graph.compiled()
-        assert cg.vector() is cg.vector()
-        assert cg.memo["vector_graph"] is cg.vector()
+        assert graph.compiled() is cg
+        for name in ("local", "peer_node", "peer_local", "all_ports",
+                     "fixed_ports", "lower_ports"):
+            assert getattr(cg, name) is getattr(cg, name), name
+        assert cg.peer_local_list() is cg.peer_local_list()
 
     def test_csr_views_match_flat_arrays(self):
         import numpy as np
 
         graph = small_regular()
         cg = graph.compiled()
-        vg = cg.vector()
-        assert vg.num_nodes == len(cg.nodes)
-        assert list(vg.mate) == list(cg.mate)
-        assert list(vg.port_node) == list(cg.port_node)
+        offsets, degrees, mate, port_node = cg.flat_lists()
+        assert cg.num_nodes == len(cg.nodes)
+        assert cg.mate.tolist() == mate
+        assert cg.port_node.tolist() == port_node
+        assert cg.offsets.tolist() == offsets
+        assert cg.degrees.tolist() == degrees
         # local/peer round-trip through the involution
-        assert np.array_equal(vg.mate[vg.mate], vg.all_ports)
-        assert np.array_equal(vg.peer_local[vg.mate], vg.local)
+        assert np.array_equal(cg.mate[cg.mate], cg.all_ports)
+        assert np.array_equal(cg.peer_local[cg.mate], cg.local)
+        assert cg.peer_local_list() == cg.peer_local.tolist()
 
     def test_segment_min_empty_segments(self):
         import numpy as np
@@ -136,9 +140,9 @@ class TestVectorGraphView:
         builder = PortGraphBuilder()
         builder.add_nodes({"u": 1, "v": 1, "w": 0})
         builder.connect("u", 1, "v", 1)
-        vg = builder.build().compiled().vector()
+        cg = builder.build().compiled()
         values = np.array([5, 3], dtype=np.int64)
-        out = vg.segment_min(values, empty=99)
+        out = cg.segment_min(values, empty=99)
         assert list(out) == [5, 3, 99]
 
     def test_segment_min_trailing_empty_after_wide_node(self):
@@ -150,9 +154,9 @@ class TestVectorGraphView:
         builder.add_nodes({0: 0, 1: 1, 2: 2, 3: 0})
         builder.connect(1, 1, 2, 2)
         builder.connect_fixed_point(2, 1)
-        vg = builder.build().compiled().vector()
+        cg = builder.build().compiled()
         values = np.array([7, 9, 4], dtype=np.int64)
-        out = vg.segment_min(values, empty=99)
+        out = cg.segment_min(values, empty=99)
         assert list(out) == [99, 7, 4, 99]
 
 
@@ -282,7 +286,9 @@ class TestPortMaskDifferential:
             assert set(view) == reference
             assert all(edge in view for edge in reference)
 
-            assert _is_eds_mask(graph, view) is not None
+            # The view is a mask of this very graph, so feasibility
+            # reads the mask; it must agree with the set reference.
+            assert view.cg is graph.compiled()
             assert is_edge_dominating_set(graph, view) == (
                 not undominated_edges(graph, reference)
             )
@@ -299,10 +305,10 @@ class TestPortMaskView:
         """Clearing one port of a selected edge is caught by the view
         with the dict checker's exact node/port message."""
         graph, result = self._vector_run()
-        vg = graph.compiled().vector()
+        cg = graph.compiled()
         mask = result.port_mask.copy()
         g = next(
-            int(g) for g in mask.nonzero()[0] if vg.mate[g] != g
+            int(g) for g in mask.nonzero()[0] if cg.mate[g] != g
         )
         mask[g] = False
         broken = dataclasses.replace(
