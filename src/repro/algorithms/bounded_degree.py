@@ -57,16 +57,12 @@ def run_bounded_with_split(graph, max_degree: int):
     needs the split, which this helper extracts from the node programs'
     final states.
     """
-    from repro.runtime.scheduler import _execute
+    from repro.runtime.scheduler import run_node_programs
 
     factory = BoundedDegreeEDS(max_degree)
-    programs = {}
-    for v in graph.nodes:
-        prog = factory(graph.degree(v))
-        if graph.degree(v) == 0 and not prog.halted:
-            prog.halt(frozenset())
-        programs[v] = prog
-    result = _execute(graph, programs, 1_000_000, False)
+    result, programs = run_node_programs(
+        graph, lambda v, degree: factory(degree), max_rounds=1_000_000
+    )
 
     m_edges = set()
     p_edges = set()

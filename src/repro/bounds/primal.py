@@ -98,6 +98,39 @@ def _adjacency(cg, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return cg.peer_node[by_node], edge_of[by_node]
 
 
+def _search(
+    u: int, depth: int, visited: bytearray,
+    off, nbr, eid, partner, max_depth: int,
+) -> list | None:
+    """DFS for an alternating path from *u* to a free node crossing at
+    most ``max_depth`` matched edges; returns its unmatched edges.
+    *visited* is shared across one pass (nodes are never unmarked),
+    which keeps the pass linear and the found paths pairwise
+    node-disjoint.
+
+    A module function, not a closure over the tables: a recursive
+    closure refers to itself through its cell, and that cycle would keep
+    the tables alive until a ``gc`` pass.
+    """
+    for t in range(off[u], off[u + 1]):
+        v = nbr[t]
+        if visited[v]:
+            continue
+        w = partner[v]
+        if w < 0:
+            visited[v] = 1
+            return [eid[t]]
+        if depth >= max_depth or visited[w]:
+            continue
+        visited[v] = visited[w] = 1
+        tail = _search(
+            w, depth + 1, visited, off, nbr, eid, partner, max_depth
+        )
+        if tail is not None:
+            return [eid[t]] + tail
+    return None
+
+
 def _augment(cg, lo, hi, match_edge, max_depth: int, passes: int) -> None:
     """Depth-bounded augmenting-path passes, in place on *match_edge*."""
     nbr_np, eid_np = _adjacency(cg, lo, hi)
@@ -114,28 +147,6 @@ def _augment(cg, lo, hi, match_edge, max_depth: int, passes: int) -> None:
     a, b = memoryview(a_np), memoryview(b_np)
     medge, partner = memoryview(match_edge), memoryview(partner_np)
 
-    def search(u: int, depth: int, visited: bytearray) -> list | None:
-        """DFS for an alternating path from *u* to a free node crossing
-        at most ``max_depth`` matched edges; returns its unmatched
-        edges.  *visited* is shared across one pass (nodes are never
-        unmarked), which keeps the pass linear and the found paths
-        pairwise node-disjoint."""
-        for t in range(off[u], off[u + 1]):
-            v = nbr[t]
-            if visited[v]:
-                continue
-            w = partner[v]
-            if w < 0:
-                visited[v] = 1
-                return [eid[t]]
-            if depth >= max_depth or visited[w]:
-                continue
-            visited[v] = visited[w] = 1
-            tail = search(w, depth + 1, visited)
-            if tail is not None:
-                return [eid[t]] + tail
-        return None
-
     for _ in range(max(0, passes)):
         # The matched set only grows, so later passes need no other roots.
         roots = np.flatnonzero((match_edge < 0) & (cg.degrees > 0))
@@ -145,7 +156,9 @@ def _augment(cg, lo, hi, match_edge, max_depth: int, passes: int) -> None:
             if partner[root] >= 0 or visited[root]:
                 continue
             visited[root] = 1
-            path = search(root, 0, visited)
+            path = _search(
+                root, 0, visited, off, nbr, eid, partner, max_depth
+            )
             if path is None:
                 continue
             # *path* holds the unmatched edges of an alternating path;

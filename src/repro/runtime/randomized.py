@@ -26,8 +26,7 @@ from repro.runtime.algorithm import NodeProgram
 from repro.runtime.scheduler import (
     DEFAULT_MAX_ROUNDS,
     RunResult,
-    _resolve_engine,
-    _run_programs,
+    run_node_programs,
 )
 
 __all__ = ["RandomizedAlgorithm", "run_randomized"]
@@ -43,18 +42,19 @@ def run_randomized(
     seed: int = 0,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     record_trace: bool = False,
-    engine: str | None = None,
 ) -> RunResult:
-    """Run a randomised anonymous algorithm with reproducible coins."""
+    """Run a randomised anonymous algorithm with reproducible coins.
+
+    Node programs run on the pernode loop whatever the engine: no
+    randomised algorithm has a vector kernel.
+    """
     master = random.Random(seed)
-    programs: dict = {}
-    for v in graph.nodes:
-        node_rng = random.Random(master.getrandbits(64))
-        prog = algorithm(graph.degree(v), node_rng)
-        if graph.degree(v) == 0 and not prog.halted:
-            prog.halt(frozenset())
-        programs[v] = prog
-    return _run_programs(
-        graph, programs, _resolve_engine(engine), max_rounds, record_trace,
-        False,
+    result, _ = run_node_programs(
+        graph,
+        lambda v, degree: algorithm(
+            degree, random.Random(master.getrandbits(64))
+        ),
+        max_rounds=max_rounds,
+        record_trace=record_trace,
     )
+    return result

@@ -15,7 +15,7 @@ outputs, the round count, and (optionally) a full message trace.
 Execution engines
 -----------------
 
-Three engines share the public entry points:
+Two engines share the public entry points:
 
 * ``"vector"`` (default) — the numpy struct-of-arrays loop
   (:mod:`repro.runtime.vector`): one round is a handful of whole-graph
@@ -29,27 +29,32 @@ Three engines share the public entry points:
   the flat involution list, the delivery order is the
   graph's own construction order, per-node inbox mappings are
   preallocated once and reused across rounds, and traces are
-  reconstructed from a flat log after the run;
-* ``"legacy"`` — the original dict-based reference loop
-  (:mod:`repro.runtime.legacy`), kept for differential testing.
+  reconstructed from a flat log after the run.
 
-``"auto"`` is accepted as a synonym of ``"vector"``.  All engines are
+``"auto"`` is accepted as a synonym of ``"vector"``.  Both engines are
 observationally identical — same outputs, rounds, and traces;
 ``tests/test_runtime_compiled.py`` enforces this across the full
-algorithm × graph-family matrix.  Pick one per call (``engine=``) or
-for a whole region with :func:`use_engine`.
+algorithm × graph-family matrix against the original dict-based loop,
+which lives under ``tests/`` as the reference.  :func:`use_engine` is
+the one selector: it picks the engine for a whole region (the CLI's
+``--engine``, the benchmarks and the tests all go through it).
+
+Every node-program run — anonymous, identified, randomised, and the
+Theorem 5 split in :mod:`repro.algorithms.bounded_degree` — builds its
+programs with :func:`run_node_programs`, the one place that halts
+degree-0 nodes and hands the programs to the pernode loop.
 
 Solution types
 --------------
 
-The pernode and legacy engines return ``RunResult.outputs`` as a
+The pernode engine returns ``RunResult.outputs`` as a
 ``dict`` of per-node port sets, and :meth:`RunResult.edge_set` decodes
 it with :func:`~repro.runtime.outputs.decode_edge_set`.  The vector
 engine keeps its solution as a **port mask** (``RunResult.port_mask``,
 one bool per global CSR port): ``outputs`` is then a lazy
 :class:`~repro.runtime.outputs.PortMaskOutputs` mapping and
 ``edge_set()`` a checked :class:`~repro.runtime.outputs.PortMaskEdgeSet`
-view, equal to the dict and frozenset the other engines give but with
+view, equal to the dict and frozenset the pernode engine gives but with
 §2.2 consistency, size and (in :mod:`repro.eds.properties`) feasibility
 computed as array operations.
 """
@@ -59,7 +64,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.exceptions import RoundLimitExceeded, SimulationError
 from repro.obs.spans import current_recorder
@@ -82,6 +87,7 @@ __all__ = [
     "RunResult",
     "run_anonymous",
     "run_identified",
+    "run_node_programs",
     "use_engine",
     "DEFAULT_MAX_ROUNDS",
 ]
@@ -90,7 +96,7 @@ DEFAULT_MAX_ROUNDS = 100_000
 
 #: The selectable execution engines (see the module docstring);
 #: ``"auto"`` is also accepted, as a synonym of ``"vector"``.
-ENGINES = ("vector", "pernode", "legacy")
+ENGINES = ("vector", "pernode")
 
 _engine_override: ContextVar[str | None] = ContextVar(
     "repro_runtime_engine", default=None
@@ -99,13 +105,14 @@ _engine_override: ContextVar[str | None] = ContextVar(
 
 @contextmanager
 def use_engine(name: str) -> Iterator[None]:
-    """Run a region under a different scheduler engine.
+    """Run a region under *name*, one of :data:`ENGINES` or ``"auto"``.
 
-    The differential tests and the runtime benchmark wrap calls in
-    ``use_engine("legacy")`` to compare against the reference loop
-    without threading a parameter through every caller.  The override is
-    a :class:`~contextvars.ContextVar`, so concurrent threads (the
-    thread backend) see only their own setting.
+    This is the only engine selector: the CLI's ``--engine``, the
+    benchmarks and the tests wrap calls in it instead of threading a
+    parameter through every caller.  The override is a
+    :class:`~contextvars.ContextVar`, so concurrent threads (the thread
+    backend) see only their own setting.  An unknown name raises
+    :class:`ValueError` listing the engines.
     """
     _resolve_engine(name)  # validate eagerly
     token = _engine_override.set(name)
@@ -116,7 +123,7 @@ def use_engine(name: str) -> Iterator[None]:
 
 
 def _resolve_engine(engine: str | None) -> str:
-    """The one place that decides which loop runs by default."""
+    """The engine *engine* names; ``None`` reads :func:`use_engine`."""
     if engine is None:
         engine = _engine_override.get() or "vector"
     if engine == "auto":
@@ -147,9 +154,6 @@ class RunResult:
         if self.port_mask is not None:
             return PortMaskEdgeSet(self.graph.compiled(), self.port_mask)
         return decode_edge_set(self.graph, self.outputs)
-
-    def output_of(self, node: Node) -> frozenset[int]:
-        return self.outputs[node]
 
 
 def _execute(
@@ -332,24 +336,50 @@ def _annotate_engine(resolved: str) -> None:
         rec.annotate(engine=resolved)
 
 
+def run_node_programs(
+    graph: PortNumberedGraph,
+    make: Callable[[Node, int], NodeProgram],
+    *,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    record_trace: bool = False,
+    strict_delivery: bool = False,
+) -> tuple[RunResult, dict[Node, NodeProgram]]:
+    """Build one program per node and run them on the pernode loop.
+
+    ``make(v, degree)`` is called once per node in ``graph.nodes``
+    order.  Nodes of degree 0 are halted at once with empty output (they
+    can never receive information).  Returns the run and the programs,
+    whose final states some analyses read.
+    """
+    programs: dict[Node, NodeProgram] = {}
+    for v in graph.nodes:
+        degree = graph.degree(v)
+        prog = make(v, degree)
+        if degree == 0 and not prog.halted:
+            prog.halt(frozenset())
+        programs[v] = prog
+    result = _execute(
+        graph, programs, max_rounds, record_trace, strict_delivery
+    )
+    return result, programs
+
+
 def _dispatch(
     graph: PortNumberedGraph,
     algorithm,
     ids: Mapping[Node, int] | None,
-    engine: str | None,
     max_rounds: int,
     record_trace: bool,
     strict_delivery: bool,
 ) -> RunResult:
-    """Run *algorithm* on the resolved engine.
+    """Run *algorithm* on the engine :func:`use_engine` selects.
 
     Under ``"vector"`` a factory exposing ``vector_program(graph)``
     (anonymous) or ``vector_program(graph, ids)`` (identified) is
     stepped as array ops; a factory without the hook, or whose hook
     returns ``None``, runs its node programs on the pernode loop.
     """
-    resolved = _resolve_engine(engine)
-    if resolved == "vector":
+    if _resolve_engine(None) == "vector":
         hook = getattr(algorithm, "vector_program", None)
         if hook is not None:
             vec = hook(graph) if ids is None else hook(graph, ids)
@@ -358,37 +388,18 @@ def _dispatch(
                 return _execute_vector(
                     graph, vec, max_rounds, record_trace, strict_delivery
                 )
-        resolved = "pernode"
-    _annotate_engine(resolved)
-
-    programs: dict[Node, NodeProgram] = {}
-    for v in graph.nodes:
-        degree = graph.degree(v)
-        prog = algorithm(degree) if ids is None else algorithm(degree, ids[v])
-        if degree == 0 and not prog.halted:
-            prog.halt(frozenset())
-        programs[v] = prog
-    return _run_programs(
-        graph, programs, resolved, max_rounds, record_trace, strict_delivery
+    _annotate_engine("pernode")
+    if ids is None:
+        def make(v, degree):
+            return algorithm(degree)
+    else:
+        def make(v, degree):
+            return algorithm(degree, ids[v])
+    result, _ = run_node_programs(
+        graph, make, max_rounds=max_rounds, record_trace=record_trace,
+        strict_delivery=strict_delivery,
     )
-
-
-def _run_programs(
-    graph: PortNumberedGraph,
-    programs: dict[Node, NodeProgram],
-    engine: str,
-    max_rounds: int,
-    record_trace: bool,
-    strict_delivery: bool,
-) -> RunResult:
-    """Run built node programs: the legacy loop, else the pernode loop."""
-    if engine == "legacy":
-        from repro.runtime.legacy import execute_legacy
-
-        return execute_legacy(
-            graph, programs, max_rounds, record_trace, strict_delivery
-        )
-    return _execute(graph, programs, max_rounds, record_trace, strict_delivery)
+    return result
 
 
 def run_anonymous(
@@ -398,7 +409,6 @@ def run_anonymous(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     record_trace: bool = False,
     strict_delivery: bool = False,
-    engine: str | None = None,
 ) -> RunResult:
     """Run a deterministic anonymous algorithm on *graph*.
 
@@ -415,12 +425,11 @@ def run_anonymous(
     so they are unaffected, but the option surfaces lifecycle bugs in
     user-supplied algorithms.
 
-    *engine* selects the scheduler implementation (default
-    ``"vector"``; see :data:`ENGINES` and :func:`use_engine`).
+    The engine is the one :func:`use_engine` selects (default
+    ``"vector"``).
     """
     return _dispatch(
-        graph, algorithm, None, engine, max_rounds, record_trace,
-        strict_delivery,
+        graph, algorithm, None, max_rounds, record_trace, strict_delivery
     )
 
 
@@ -432,7 +441,6 @@ def run_identified(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     record_trace: bool = False,
     strict_delivery: bool = False,
-    engine: str | None = None,
 ) -> RunResult:
     """Run an algorithm in the stronger unique-identifier model.
 
@@ -450,6 +458,5 @@ def run_identified(
     if len({ids[v] for v in graph.nodes}) != graph.num_nodes:
         raise SimulationError("node identifiers must be unique")
     return _dispatch(
-        graph, algorithm, ids, engine, max_rounds, record_trace,
-        strict_delivery,
+        graph, algorithm, ids, max_rounds, record_trace, strict_delivery
     )

@@ -1,13 +1,18 @@
-"""The legacy dict-based scheduler, kept as an executable reference.
+"""The legacy dict-based scheduler: the differential tests' reference.
 
 This is the original pure-Python round loop: per-round inbox dicts for
 every running node, involution lookups through the graph's ``dict[Port,
 Port]``, and per-node ``send``/``receive`` dispatch.  The vector and
 pernode engines (:mod:`repro.runtime.scheduler`) replace it as
-execution paths; it survives as the reference of the **differential
-test suite** (``tests/test_runtime_compiled.py``), which asserts both
-are output-, round-, and trace-identical to it across the full
-algorithm × graph-family matrix.
+execution paths; it survives here as the reference of the differential
+tests (``test_runtime_compiled.py``, ``test_failure_injection.py``),
+which assert both engines are output-, round-, and trace-identical to
+it.
+
+:func:`execute_legacy` has the pernode loop's signature, so
+:func:`use_reference` runs it *in place of* that loop: every algorithm
+still gets its node programs from the scheduler's one program builder,
+and only the round loop differs.
 
 Two deliberate deviations from the historical code, both invisible to
 outputs, round counts, and message totals: sends are collected in the
@@ -19,14 +24,23 @@ recorded; now they are labelled).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+from unittest import mock
+
 from repro.exceptions import RoundLimitExceeded, SimulationError
 from repro.obs.spans import current_recorder
 from repro.portgraph.graph import PortNumberedGraph
 from repro.portgraph.ports import Node
+from repro.runtime import scheduler
 from repro.runtime.algorithm import NodeProgram
 from repro.runtime.trace import ExecutionTrace, RoundTrace, SentMessage
 
-__all__ = ["execute_legacy"]
+__all__ = ["REFERENCE", "execute_legacy", "use_reference", "run_under"]
+
+#: The name the differential tests give the reference next to the
+#: engines (``[legacy]`` test ids).
+REFERENCE = "legacy"
 
 
 def execute_legacy(
@@ -35,10 +49,8 @@ def execute_legacy(
     max_rounds: int,
     record_trace: bool,
     strict_delivery: bool = False,
-):
+) -> scheduler.RunResult:
     """The reference implementation of one synchronous execution."""
-    from repro.runtime.scheduler import RunResult
-
     trace = ExecutionTrace() if record_trace else None
     running = {v for v, prog in programs.items() if not prog.halted}
     # The deterministic delivery order never changes; fix it once instead
@@ -113,7 +125,29 @@ def execute_legacy(
         assert prog.output is not None  # halted implies output set
         outputs[v] = prog.output
     if rec is not None:
-        from repro.runtime.scheduler import _record_run
+        scheduler._record_run(rec, rnd, n_delivered, n_dropped)
+    return scheduler.RunResult(
+        graph=graph, outputs=outputs, rounds=rnd, trace=trace
+    )
 
-        _record_run(rec, rnd, n_delivered, n_dropped)
-    return RunResult(graph=graph, outputs=outputs, rounds=rnd, trace=trace)
+
+@contextmanager
+def use_reference() -> Iterator[None]:
+    """Run a region's node programs on the legacy loop.
+
+    The region runs under the ``pernode`` engine (so no vector kernel
+    takes over) with :func:`execute_legacy` substituted for the pernode
+    round loop.
+    """
+    with scheduler.use_engine("pernode"), mock.patch.object(
+        scheduler, "_execute", execute_legacy
+    ):
+        yield
+
+
+def run_under(engine: str):
+    """A context running a region on *engine*, or on the reference when
+    *engine* is :data:`REFERENCE`."""
+    if engine == REFERENCE:
+        return use_reference()
+    return scheduler.use_engine(engine)

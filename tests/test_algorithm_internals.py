@@ -26,7 +26,7 @@ from repro.portgraph import (
     random_numbering,
 )
 from repro.runtime import run_anonymous
-from repro.runtime.scheduler import _execute
+from repro.runtime.scheduler import run_node_programs
 
 from tests.conftest import nx_graphs
 
@@ -97,13 +97,9 @@ class TestSetupProtocolAgreesWithStatics:
     @given(graph=nx_graphs(max_nodes=9), seed=st.integers(0, 10**6))
     def test_distributed_setup_matches_reference(self, graph, seed):
         g = from_networkx(graph, random_numbering(seed))
-        programs = {}
-        for v in g.nodes:
-            prog = self._Introspect(g.degree(v))
-            if g.degree(v) == 0:
-                prog.halt(frozenset())
-            programs[v] = prog
-        _execute(g, programs, 1000, False)
+        _, programs = run_node_programs(
+            g, lambda v, degree: self._Introspect(degree), max_rounds=1000
+        )
 
         for v in g.nodes:
             if g.degree(v) == 0:

@@ -39,17 +39,12 @@ def run_with_internals(graph, max_degree):
     of §7.3 constrain M and P separately, so these tests read the split
     out of the node programs' internal state.
     """
-    from repro.runtime.scheduler import _execute
+    from repro.runtime.scheduler import run_node_programs
 
     factory = BoundedDegreeEDS(max_degree)
-    programs = {}
-    for v in graph.nodes:
-        prog = factory(graph.degree(v))
-        if graph.degree(v) == 0 and not prog.halted:
-            prog.halt(frozenset())
-        programs[v] = prog
-    result = _execute(graph, programs, 100_000, False)
-    return result, programs
+    return run_node_programs(
+        graph, lambda v, degree: factory(degree), max_rounds=100_000
+    )
 
 
 def m_and_p_edges(graph, programs):

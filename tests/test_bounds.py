@@ -282,6 +282,23 @@ class TestArrayPrimalMatchesReference:
             )
 
 
+    def test_augmenting_search_leaves_no_garbage_cycle(self):
+        """The augmenting DFS is a module function, so a call leaves no
+        reference cycle holding the adjacency tables for a ``gc`` pass."""
+        import gc
+
+        g = get_family("pairing_regular").make({"d": 3, "n": 4096}, 1)
+        g.compiled().lower_ports
+        gc.collect()
+        gc.disable()
+        try:
+            matching = primal_matching(g)
+            del matching
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestArrayNativePath:
     def test_sandwich_and_verify_build_no_port_edges(self, monkeypatch):
         """On an array-built graph the whole certified path stays on the

@@ -370,7 +370,7 @@ class TestCsrBoundary:
     @pytest.mark.parametrize("index", range(3))
     def test_scalar_accessors_return_python_ints(self, index):
         from repro.algorithms.port_one import PortOneEDS
-        from repro.runtime import run_anonymous
+        from repro.runtime import run_anonymous, use_engine
 
         name, graph = boundary_graphs()[index]
         cg = graph.compiled()
@@ -391,6 +391,7 @@ class TestCsrBoundary:
         assert regularity is None or type(regularity) is int, name
         assert type(graph.num_edges) is int, name
         assert type(cg.num_ports) is int, name
-        outputs = run_anonymous(graph, PortOneEDS, engine="vector").outputs
+        with use_engine("vector"):
+            outputs = run_anonymous(graph, PortOneEDS).outputs
         for v in graph.nodes:
             assert all(type(i) is int for i in outputs[v]), name

@@ -24,12 +24,14 @@ from repro.runtime import (
     ENGINES,
     NodeProgram,
     run_anonymous,
-    use_engine,
 )
 from repro.runtime.outputs import decode_edge_set
 
-#: Every accepted engine name, the ``auto`` synonym included.
-ENGINE_NAMES = (*ENGINES, "auto")
+from legacy_reference import REFERENCE, run_under
+
+#: Every accepted engine name, the ``auto`` synonym included, and the
+#: reference loop.
+ENGINE_NAMES = (*ENGINES, REFERENCE, "auto")
 
 
 class SendsOnBadPort(NodeProgram):
@@ -142,7 +144,7 @@ class TestDeliveryTelemetry:
         # the middle node broadcasts 2 messages each to halted leaves.
         graph = from_networkx(nx.path_graph(3))
         with recording() as rec:
-            with use_engine(engine):
+            with run_under(engine):
                 result = run_anonymous(graph, HaltsEarlyAtLeaves)
         assert result.rounds == 3
         assert rec.counters["runtime.runs"] == 1
@@ -155,7 +157,7 @@ class TestDeliveryTelemetry:
         """The counters agree with the ground truth in the full trace."""
         graph = from_networkx(nx.path_graph(3))
         with recording() as rec:
-            with use_engine(engine):
+            with run_under(engine):
                 result = run_anonymous(
                     graph, HaltsEarlyAtLeaves, record_trace=True
                 )
@@ -170,7 +172,7 @@ class TestDeliveryTelemetry:
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_strict_delivery_rejects_the_same_run(self, engine):
         graph = from_networkx(nx.path_graph(3))
-        with use_engine(engine):
+        with run_under(engine):
             with pytest.raises(SimulationError, match="halted"):
                 run_anonymous(
                     graph, HaltsEarlyAtLeaves, strict_delivery=True

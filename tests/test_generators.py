@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import networkx as nx
 import pytest
 
 from repro.exceptions import ConstructionError
@@ -25,6 +28,8 @@ from repro.generators import (
     star,
     torus,
 )
+from repro.portgraph.convert import from_networkx
+from repro.portgraph.numbering import random_numbering
 
 
 class TestRegularFamilies:
@@ -82,11 +87,41 @@ class TestRegularFamilies:
         assert a == b  # deterministic given seed
 
 
+def _rescan_thinning(n: int, max_degree: int, seed: int):
+    """The reference ``random_bounded_degree``: after every edge removal
+    re-sort all over-full nodes and thin the smallest."""
+    graph = nx.gnp_random_graph(n, 0.5, seed=seed)
+    rng = random.Random(seed)
+    while True:
+        over = sorted(v for v, d in graph.degree() if d > max_degree)
+        if not over:
+            break
+        v = over[0]
+        graph.remove_edge(v, rng.choice(sorted(graph.neighbors(v))))
+    return from_networkx(graph, random_numbering(seed))
+
+
 class TestBoundedFamilies:
     def test_random_bounded_degree(self):
         g = random_bounded_degree(15, 4, seed=3)
         assert g.max_degree <= 4
         assert g.num_nodes == 15
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 128, 256])
+    def test_thinning_matches_rescan_reference(self, n):
+        """One pass over the initially over-full nodes removes the same
+        edges with the same coins as re-scanning every degree after each
+        removal.  The rescan is cubic (~1.1 s per graph at n = 256), so
+        that size runs at seed 0 and the extreme bounds only."""
+        cells = (
+            [(d, seed) for d in (1, 3, 4, 8) for seed in range(3)]
+            if n < 256 else [(1, 0), (8, 0)]
+        )
+        for max_degree, seed in cells:
+            got = random_bounded_degree(n, max_degree, seed=seed)
+            want = _rescan_thinning(n, max_degree, seed)
+            assert got == want, (n, max_degree, seed)
+            assert got.nodes == want.nodes and got.edges == want.edges
 
     def test_path_and_star(self):
         assert path(5).max_degree == 2

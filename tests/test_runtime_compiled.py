@@ -2,20 +2,25 @@
 
 The vector kernels and the pernode loop (node programs over the compiled
 flat arrays) must be *observationally identical* to the legacy
-dict-based scheduler: same outputs, same round counts, and the same
+dict-based scheduler (``legacy_reference.py``, run in place of the
+pernode loop): same outputs, same round counts, and the same
 full message traces.  This suite asserts exactly that across every
 registered simulator-driven algorithm × every plain graph family at two
-sizes, plus the structural edge cases (loops, parallel edges, degree-0
-nodes, the empty graph) — and pins the engine contract that the rewrite
-left every content address and cached record byte-identical.
+sizes and on random port numberings, plus the structural edge cases
+(loops, parallel edges, degree-0 nodes, the empty graph) — and pins
+the engine contract that the rewrite left every content address and
+cached record byte-identical.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from repro.engine.cache import ResultCache, cache_key
 from repro.engine.executor import execute_unit, run_units
@@ -27,9 +32,14 @@ from repro.runtime import (
     ENGINES,
     NodeProgram,
     run_anonymous,
+    run_identified,
     use_engine,
 )
+from repro.runtime.randomized import run_randomized
 from repro.runtime.scheduler import _resolve_engine
+
+from legacy_reference import REFERENCE, run_under
+from test_runtime_vector import port_numberings
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -83,14 +93,15 @@ def candidate_engines() -> list[str]:
     return ["vector", "pernode", "auto"]
 
 
-#: Every accepted engine name, the ``auto`` synonym included.
-ENGINE_NAMES = (*ENGINES, "auto")
+#: Every accepted engine name, the ``auto`` synonym included, and the
+#: reference.
+ENGINE_NAMES = (*ENGINES, REFERENCE, "auto")
 
 
 def traced_run(name: str, graph, engine: str):
     bound = get_algorithm(name).resolve(rng_seed=11)
     assert bound.traced is not None
-    with use_engine(engine):
+    with run_under(engine):
         return bound.traced(graph)
 
 
@@ -114,6 +125,25 @@ class TestMatrixCoverage:
             "coverage; add instances to FAMILY_INSTANCES"
         )
 
+    def test_reference_runs_in_place_of_the_pernode_loop(self):
+        """The ``legacy`` column is the reference loop, for every model:
+        anonymous, identified and randomised runs all reach it."""
+        import legacy_reference
+
+        graph = build("cycle", {"n": 5})
+        calls = []
+        reference = legacy_reference.execute_legacy
+
+        def spy(*args):
+            calls.append(args[0])
+            return reference(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(legacy_reference, "execute_legacy", spy)
+            for name in ("port_one", "ids_greedy", "randomized_matching"):
+                traced_run(name, graph, REFERENCE)
+        assert calls == [graph] * 3
+
     def test_simulated_algorithms_nonempty(self):
         names = simulated_algorithms()
         # the paper algorithms, the baselines, and the id/randomized ones
@@ -127,12 +157,56 @@ def test_differential_full_matrix(family: str, which: int):
     """Vector and pernode runs equal the legacy reference everywhere."""
     graph = build(family, FAMILY_INSTANCES[family][which])
     for name in simulated_algorithms():
-        reference = traced_run(name, graph, "legacy")
+        reference = traced_run(name, graph, REFERENCE)
         for engine in candidate_engines():
             candidate = traced_run(name, graph, engine)
             assert_identical(
                 reference, candidate, f"{name} on {family}#{which} ({engine})"
             )
+
+
+@contextmanager
+def round_limit(rounds: int):
+    """Lower the runners' default round limit for a region.
+
+    The registry's bound runnables take the default; on graphs with
+    loops the greedy and randomised matchings never finish, and every
+    engine must then raise the same :class:`RoundLimitExceeded` — after
+    a few hundred rounds rather than 100 000.
+    """
+    with ExitStack() as stack:
+        for runner in (run_anonymous, run_identified, run_randomized):
+            stack.enter_context(
+                mock.patch.dict(runner.__kwdefaults__, max_rounds=rounds)
+            )
+        yield
+
+
+class TestRandomNumberingDifferential:
+    """Every registered simulated algorithm on random port numberings
+    (degree-0 nodes, loops, parallel edges, fixed points): each engine
+    equals the reference, or raises the same exception type."""
+
+    @pytest.mark.parametrize("name", simulated_algorithms())
+    def test_registry_matches_reference(self, name: str):
+        @settings(max_examples=100, deadline=None)
+        @given(port_numberings())
+        def check(graph):
+            with round_limit(200):
+                try:
+                    reference = traced_run(name, graph, REFERENCE)
+                except Exception as exc:
+                    for engine in ENGINES:
+                        with pytest.raises(type(exc)):
+                            traced_run(name, graph, engine)
+                    return
+                for engine in ENGINES:
+                    assert_identical(
+                        reference, traced_run(name, graph, engine),
+                        f"{name} ({engine})",
+                    )
+
+        check()
 
 
 class TestEdgeCases:
@@ -175,7 +249,7 @@ class TestEdgeCases:
             ("isolated", self._with_isolated()),
             ("empty", self._empty()),
         ):
-            reference = traced_run(name, graph, "legacy")
+            reference = traced_run(name, graph, REFERENCE)
             for engine in candidate_engines():
                 candidate = traced_run(name, graph, engine)
                 assert_identical(
@@ -211,25 +285,24 @@ class _ChattyLeafHalter(NodeProgram):
 
 class TestEngineSelection:
     def test_engines_tuple(self):
-        assert ENGINES == ("vector", "pernode", "legacy")
+        assert ENGINES == ("vector", "pernode")
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             _resolve_engine("vectorised")
 
     def test_compiled_engine_rejected_with_available_list(self):
-        with pytest.raises(ValueError) as excinfo:
-            run_anonymous(build("cycle", {"n": 5}), _NeverSends,
-                          engine="compiled")
-        assert str(("vector", "pernode", "legacy")) in str(excinfo.value)
-        with pytest.raises(ValueError, match="unknown engine"):
-            with use_engine("compiled"):
-                pass
+        """Retired engine names are rejected, listing the two engines."""
+        for name in ("compiled", "legacy"):
+            with pytest.raises(ValueError) as excinfo:
+                with use_engine(name):
+                    pass
+            assert str(("vector", "pernode")) in str(excinfo.value)
 
     def test_use_engine_restores(self):
         assert _resolve_engine(None) == "vector"
-        with use_engine("legacy"):
-            assert _resolve_engine(None) == "legacy"
+        with use_engine("pernode"):
+            assert _resolve_engine(None) == "pernode"
         assert _resolve_engine(None) == "vector"
 
     def test_auto_is_vector(self):
@@ -237,12 +310,15 @@ class TestEngineSelection:
         with use_engine("auto"):
             assert _resolve_engine(None) == "vector"
 
-    def test_explicit_engine_beats_override(self, triangle):
-        with use_engine("legacy"):
-            result = run_anonymous(
-                triangle, _NeverSends, engine="pernode", record_trace=True
-            )
-        assert result.rounds == 1
+    def test_runners_take_no_engine_keyword(self, triangle):
+        """``use_engine`` is the only selector: no runner has an
+        ``engine=`` keyword."""
+        import inspect
+
+        for runner in (run_anonymous, run_identified, run_randomized):
+            assert "engine" not in inspect.signature(runner).parameters
+        with pytest.raises(TypeError):
+            run_anonymous(triangle, _NeverSends, engine="pernode")
 
 
 class TestDroppedSends:
@@ -257,10 +333,10 @@ class TestDroppedSends:
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_dropped_flagged_consistently(self, engine: str):
-        result = run_anonymous(
-            self._star(), _ChattyLeafHalter,
-            record_trace=True, engine=engine,
-        )
+        with run_under(engine):
+            result = run_anonymous(
+                self._star(), _ChattyLeafHalter, record_trace=True
+            )
         trace = result.trace
         # round 0: all 6 sends delivered; rounds 1-2: the hub's 3 sends
         # are dropped (leaves halted in round 0)
@@ -285,10 +361,10 @@ class TestDroppedSends:
         from repro.exceptions import SimulationError
 
         with pytest.raises(SimulationError, match="sent to halted node"):
-            run_anonymous(
-                self._star(), _ChattyLeafHalter,
-                strict_delivery=True, engine=engine,
-            )
+            with run_under(engine):
+                run_anonymous(
+                    self._star(), _ChattyLeafHalter, strict_delivery=True
+                )
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_strict_delivery_batch_path(self, engine: str):
@@ -303,14 +379,14 @@ class TestDroppedSends:
 
         graph = build("regular", {"d": 3, "n": 8})
         with pytest.raises(SimulationError, match="sent to halted node"):
-            run_identified(
-                graph, GreedyMaximalMatchingIds,
-                strict_delivery=True, engine=engine,
-            )
+            with run_under(engine):
+                run_identified(
+                    graph, GreedyMaximalMatchingIds, strict_delivery=True
+                )
 
 
 class TestIdentifierCoverage:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", (*ENGINES, REFERENCE))
     def test_ids_missing_a_node_rejected(self, engine: str):
         """A mapping with as many distinct values as nodes but a foreign
         key in place of a graph node is rejected by name, not with a
@@ -326,9 +402,8 @@ class TestIdentifierCoverage:
         ids = {v: k for k, v in enumerate(nodes[:5])}
         ids["ghost"] = 5
         with pytest.raises(SimulationError, match=repr(nodes[5])):
-            run_identified(
-                graph, GreedyMaximalMatchingIds, ids=ids, engine=engine
-            )
+            with run_under(engine):
+                run_identified(graph, GreedyMaximalMatchingIds, ids=ids)
 
     def test_extra_id_keys_ignored(self):
         """Only the graph's nodes need distinct identifiers; a key that

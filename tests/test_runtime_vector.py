@@ -59,8 +59,8 @@ class TestSelectionContract:
         from repro.algorithms.port_one import PortOneEDS
         from repro.obs import recording
 
-        with recording() as rec:
-            run_anonymous(small_regular(), PortOneEDS, engine="vector")
+        with recording() as rec, use_engine("vector"):
+            run_anonymous(small_regular(), PortOneEDS)
         assert rec.counters.get("runtime.vector.runs") == 1
 
     def test_default_is_vector(self):
@@ -89,10 +89,8 @@ class TestSelectionContract:
         from repro.obs.spans import span
 
         with recording() as rec:
-            with span("simulate"):
-                result = run_anonymous(
-                    small_regular(), _NoVectorKernel, engine="auto"
-                )
+            with span("simulate"), use_engine("auto"):
+                result = run_anonymous(small_regular(), _NoVectorKernel)
         assert result.rounds == 1
         assert "runtime.vector.runs" not in rec.counters
         assert rec.spans[0].attrs["engine"] == "pernode"
@@ -100,9 +98,8 @@ class TestSelectionContract:
     def test_auto_fallback_is_silent(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.runtime"):
             for engine in ("vector", "auto"):
-                run_anonymous(
-                    small_regular(), _NoVectorKernel, engine=engine
-                )
+                with use_engine(engine):
+                    run_anonymous(small_regular(), _NoVectorKernel)
         assert not caplog.records
 
 
@@ -179,12 +176,10 @@ class TestLazyTraces:
         from repro.algorithms.regular_odd import RegularOddEDS
 
         graph = small_regular()
-        compiled = run_anonymous(
-            graph, RegularOddEDS, engine="pernode", record_trace=True
-        )
-        vector = run_anonymous(
-            graph, RegularOddEDS, engine="vector", record_trace=True
-        )
+        with use_engine("pernode"):
+            compiled = run_anonymous(graph, RegularOddEDS, record_trace=True)
+        with use_engine("vector"):
+            vector = run_anonymous(graph, RegularOddEDS, record_trace=True)
         assert vector.trace == compiled.trace
 
 
@@ -195,12 +190,14 @@ class TestIdOverflow:
         graph = get_family("regular").make({"d": 3, "n": 8}, 7)
         huge = {v: 2 ** 70 + i for i, v in enumerate(graph.nodes)}
         assert GreedyMaximalMatchingIds.vector_program(graph, huge) is None
-        with_ids = run_identified(
-            graph, GreedyMaximalMatchingIds, ids=huge, engine="auto"
-        )
-        reference = run_identified(
-            graph, GreedyMaximalMatchingIds, ids=huge, engine="pernode"
-        )
+        with use_engine("auto"):
+            with_ids = run_identified(
+                graph, GreedyMaximalMatchingIds, ids=huge
+            )
+        with use_engine("pernode"):
+            reference = run_identified(
+                graph, GreedyMaximalMatchingIds, ids=huge
+            )
         assert with_ids.outputs == reference.outputs
         assert with_ids.rounds == reference.rounds
 
@@ -228,22 +225,24 @@ def port_numberings(draw, max_degree: int = 4):
 
 
 def _run(kernel: str, graph, engine: str):
-    # A node with a loop never runs out of live neighbours in the greedy
-    # matching: both engines hit the round limit, kept small here.
-    if kernel == "ids_greedy":
-        return run_identified(
-            graph, GreedyMaximalMatchingIds, engine=engine, max_rounds=200,
-            record_trace=True,
-        )
-    delta = max(graph.max_degree, 1)
-    algorithm = {
-        "port_one": PortOneEDS,
-        "regular_odd": RegularOddEDS,
-        "bounded_degree": BoundedDegreeEDS(delta),
-        "all_edges": BoundedDegreeEDS(1),
-        "double_cover": DominatingTwoMatching(delta),
-    }[kernel]
-    return run_anonymous(graph, algorithm, engine=engine, record_trace=True)
+    with use_engine(engine):
+        # A node with a loop never runs out of live neighbours in the
+        # greedy matching: both engines hit the round limit, kept small
+        # here.
+        if kernel == "ids_greedy":
+            return run_identified(
+                graph, GreedyMaximalMatchingIds, max_rounds=200,
+                record_trace=True,
+            )
+        delta = max(graph.max_degree, 1)
+        algorithm = {
+            "port_one": PortOneEDS,
+            "regular_odd": RegularOddEDS,
+            "bounded_degree": BoundedDegreeEDS(delta),
+            "all_edges": BoundedDegreeEDS(1),
+            "double_cover": DominatingTwoMatching(delta),
+        }[kernel]
+        return run_anonymous(graph, algorithm, record_trace=True)
 
 
 #: Every vector kernel, with the largest degree its generated graphs get
@@ -299,7 +298,8 @@ class TestPortMaskDifferential:
 class TestPortMaskView:
     def _vector_run(self):
         graph = get_family("regular").make({"d": 3, "n": 10}, 7)
-        return graph, run_anonymous(graph, PortOneEDS, engine="vector")
+        with use_engine("vector"):
+            return graph, run_anonymous(graph, PortOneEDS)
 
     def test_broken_half_edge_raises_like_check_consistency(self):
         """Clearing one port of a selected edge is caught by the view
